@@ -105,7 +105,7 @@ class Condensation:
         return f"Condensation({parts})"
 
 
-def condensation(auto: GBA, deadline: float | None = None) -> Condensation:
+def condensation(auto: GBA) -> Condensation:
     """Classified SCC condensation of the reachable part of a BA."""
     if not auto.is_ba():
         raise ValueError(
@@ -115,7 +115,7 @@ def condensation(auto: GBA, deadline: float | None = None) -> Condensation:
     components = tuple(
         Component(i, frozenset(members),
                   _classify_scc(auto, frozenset(members), accepting))
-        for i, members in enumerate(tarjan_sccs(auto, deadline)))
+        for i, members in enumerate(tarjan_sccs(auto)))
     return Condensation(auto, components)
 
 

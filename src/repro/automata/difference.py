@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.automata.classify import sdba_parts
-from repro.automata.complement.dispatch import (KIND_GUARDS, ComplementKind,
-                                                classify_kind,
-                                                implicit_complement)
+from repro.automata.complement.dispatch import (ComplementKind, classify_kind,
+                                                implicit_complement,
+                                                kind_applies)
 from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
                                             subsumes, subsumes_b)
 import repro.faults as _faults
@@ -48,8 +48,7 @@ from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
 from repro.automata.gba import CachedImplicitGBA, GBA, ImplicitGBA, State
 from repro.automata.ops import ProductGBA
 from repro.automata.simulation import direct_simulation, quotient
-from repro.core.budget import (DeadlineExceeded, ResourceExhausted,
-                               current_budget)
+from repro.core.budget import Capped, ResourceExhausted, current_budget
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
 
@@ -219,10 +218,6 @@ class SubsumptionOracle(EmptyOracle):
         return self._size + super().__len__()
 
 
-#: Shape guards for forced/pinned kinds (see dispatch.KIND_GUARDS; kinds
-#: absent there -- RANK, VIA_SEMIDET, MODULAR -- apply to any BA).
-_KIND_GUARDS = KIND_GUARDS
-
 #: Complementation cost levels (finite-trace < DBA < NCSB < general).
 _KIND_COST = {ComplementKind.FINITE_TRACE: 0, ComplementKind.DBA: 1,
               ComplementKind.SDBA_ORIGINAL: 2, ComplementKind.SDBA_LAZY: 2,
@@ -243,19 +238,16 @@ def _reduced_subtrahend(subtrahend: GBA,
     n = len(subtrahend.states)
     if n <= 1 or n > _SIM_STATE_GUARD or not subtrahend.is_ba():
         return subtrahend
-    try:
+    with Capped() as cap:
         related = direct_simulation(subtrahend, parts=sdba_parts(subtrahend))
         reduced = quotient(subtrahend, related=related)
-    except DeadlineExceeded:
-        raise
-    except ResourceExhausted:
+    if cap.overrun is not None:
         return subtrahend
     removed = n - len(reduced.states)
     if removed <= 0:
         return subtrahend
     if kind is not None:
-        guard = _KIND_GUARDS.get(kind)
-        if guard is not None and not guard(reduced):
+        if not kind_applies(kind, reduced):
             return subtrahend
     elif _KIND_COST[classify_kind(reduced)] > _KIND_COST[classify_kind(subtrahend)]:
         return subtrahend
@@ -272,13 +264,9 @@ def _subtrahend_simulation(comp) -> set[tuple[State, State]] | None:
     sdba = getattr(comp, "sdba", None)
     if sdba is None or len(sdba.states) > _SIM_STATE_GUARD:
         return None
-    try:
+    with Capped() as cap:
         relation = direct_simulation(sdba, parts=comp.parts)
-    except DeadlineExceeded:
-        raise
-    except ResourceExhausted:
-        return None
-    if all(p == r for p, r in relation):
+    if cap.overrun is not None or all(p == r for p, r in relation):
         return None
     return relation
 
@@ -304,8 +292,7 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                cache: bool = True,
                simulation_reduction: bool = True,
                kind: ComplementKind | None = None,
-               state_limit: int | None = None,
-               deadline: float | None = None) -> DifferenceResult:
+               state_limit: int | None = None) -> DifferenceResult:
     """Compute ``L(minuend) \\ L(subtrahend)`` as a trimmed GBA.
 
     ``minuend`` may be implicit; ``subtrahend`` must be an explicit BA
@@ -407,8 +394,7 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
 
             try:
                 useful, stats = remove_useless(product, oracle=oracle,
-                                               state_limit=state_limit,
-                                               deadline=deadline)
+                                               state_limit=state_limit)
             except ResourceExhausted as exc:  # includes DeadlineExceeded
                 # A blown budget or deadline must still account its
                 # partial exploration: the degradation ladder retries
@@ -426,13 +412,10 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                      useful=stats.useful_states)
             return DifferenceResult(useful, used_kind, stats)
 
-        try:
+        with Capped() as cap:
             return attempt(modular)
-        except DeadlineExceeded:
-            raise
-        except ResourceExhausted:
-            if not heuristic_modular:
-                raise
-            _metrics.inc("difference.modular.fallbacks")
-            span.set(modular_fallback=True)
-            return attempt(False)
+        if not heuristic_modular:
+            raise cap.overrun
+        _metrics.inc("difference.modular.fallbacks")
+        span.set(modular_fallback=True)
+        return attempt(False)

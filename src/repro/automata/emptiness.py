@@ -29,7 +29,8 @@ from typing import Callable, Iterable, Iterator
 
 from repro.automata.gba import GBA, ImplicitGBA, State, Symbol
 from repro.automata.words import UPWord
-from repro.core.budget import DeadlineExceeded, ResourceExhausted
+from repro.core.budget import (DeadlineExceeded, ResourceExhausted,
+                               current_budget)
 from repro.obs.trace import get_tracer
 
 
@@ -99,7 +100,6 @@ def remove_useless(auto: ImplicitGBA, *,
                    oracle: EmptyOracle | None = None,
                    on_transition: Callable[[State, Symbol, State], None] | None = None,
                    state_limit: int | None = None,
-                   deadline: float | None = None,
                    ) -> tuple[GBA, RemovalStats]:
     """Materialize the useful part of an implicit GBA (Algorithm 1).
 
@@ -108,6 +108,8 @@ def remove_useless(auto: ImplicitGBA, *,
     ``oracle`` replaces the exact ``emp`` set (subsumption pruning);
     ``on_transition`` observes every explored edge; ``state_limit``
     raises :class:`ExplorationLimit` when the traversal grows too big.
+    The scoped budget's deadline (:func:`~repro.core.budget.use_budget`)
+    is polled every 256 pushed states and every 256 explored edges.
 
     With a tracer installed, the traversal runs inside an ``emptiness``
     span stamped with the exploration counters.
@@ -115,12 +117,11 @@ def remove_useless(auto: ImplicitGBA, *,
     tracer = get_tracer()
     if not tracer.enabled:
         return _remove_useless(auto, oracle=oracle, on_transition=on_transition,
-                               state_limit=state_limit, deadline=deadline)
+                               state_limit=state_limit)
     with tracer.span("emptiness") as span:
         result, stats = _remove_useless(auto, oracle=oracle,
                                         on_transition=on_transition,
-                                        state_limit=state_limit,
-                                        deadline=deadline)
+                                        state_limit=state_limit)
         span.set(explored_states=stats.explored_states,
                  explored_edges=stats.explored_edges,
                  useful_states=stats.useful_states,
@@ -132,8 +133,9 @@ def _remove_useless(auto: ImplicitGBA, *,
                     oracle: EmptyOracle | None = None,
                     on_transition: Callable[[State, Symbol, State], None] | None = None,
                     state_limit: int | None = None,
-                    deadline: float | None = None,
                     ) -> tuple[GBA, RemovalStats]:
+    budget = current_budget()
+    deadline = budget.deadline if budget is not None else None
     oracle = oracle if oracle is not None else EmptyOracle()
     stats = RemovalStats()
     all_conditions = frozenset(range(auto.acceptance_count))
@@ -177,7 +179,7 @@ def _remove_useless(auto: ImplicitGBA, *,
                 raise ExplorationLimit(state_limit)
             if (deadline is not None and stats.explored_states % 256 == 0
                     and time.perf_counter() > deadline):
-                raise ExplorationTimeout(deadline)
+                raise DeadlineExceeded("emptiness", deadline)
             scc_stack.append((state, auto.accepting_sets_of(state)))
             act_stack.append(state)
             act_set.add(state)
@@ -197,7 +199,7 @@ def _remove_useless(auto: ImplicitGBA, *,
                 # blow far past a cooperative deadline.
                 if (deadline is not None and stats.explored_edges % 256 == 0
                         and time.perf_counter() > deadline):
-                    raise ExplorationTimeout(deadline)
+                    raise DeadlineExceeded("emptiness", deadline)
                 source_edges.append((symbol, target))
                 pending_count += 1
                 if pending_count > stats.peak_pending_edges:
@@ -273,7 +275,7 @@ def _remove_useless(auto: ImplicitGBA, *,
             if initial not in useful and not oracle.contains(initial):
                 if initial not in dfsnum:
                     construct(initial)
-    except ResourceExhausted as exc:  # includes ExplorationTimeout
+    except ResourceExhausted as exc:  # includes DeadlineExceeded
         # The partial effort must survive the unwind: the difference
         # layer registers explored states/edges even for attempts that
         # blow a budget or deadline (see difference.attempt), so a
@@ -305,13 +307,6 @@ class ExplorationLimit(ResourceExhausted):
                          limit)
 
 
-class ExplorationTimeout(DeadlineExceeded):
-    """Raised when the wall-clock ``deadline`` passes during Algorithm 1."""
-
-    def __init__(self, deadline: float):
-        super().__init__("exploration deadline exceeded", deadline)
-
-
 class SearchInvariantError(RuntimeError):
     """A lasso-search reachability invariant was violated.
 
@@ -340,7 +335,12 @@ def is_empty_naive(auto: GBA) -> bool:
     return find_accepting_lasso(auto) is None
 
 
-def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
+def tarjan_sccs(auto: GBA) -> list[list[State]]:
+    """SCCs of the reachable part, in Tarjan emission order: every SCC
+    comes after all distinct SCCs reachable from it (reverse topological
+    order of the condensation DAG)."""
+    budget = current_budget()
+    deadline = budget.deadline if budget is not None else None
     index: dict[State, int] = {}
     low: dict[State, int] = {}
     on_stack: set[State] = set()
@@ -366,7 +366,7 @@ def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
         # small automata still notice an expired deadline, big ones pay
         # one perf_counter call per half-K states.
         if deadline is not None and time.perf_counter() > deadline:
-            raise ExplorationTimeout(deadline)
+            raise DeadlineExceeded("scc-sweep", deadline)
         work: list[tuple[State, Iterator[State]]] = [
             (v, iter(sorted(auto.post(v), key=repr)))]
         index[v] = low[v] = counter[0]
@@ -377,7 +377,7 @@ def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
             steps[0] += 1
             if (deadline is not None and steps[0] % 512 == 0
                     and time.perf_counter() > deadline):
-                raise ExplorationTimeout(deadline)
+                raise DeadlineExceeded("scc-sweep", deadline)
             node, it = work[-1]
             advanced = False
             for w in it:
@@ -413,13 +413,6 @@ def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
     return sccs
 
 
-#: Public alias: SCCs of the reachable part, in Tarjan emission order
-#: (every SCC is emitted after all distinct SCCs reachable from it --
-#: reverse topological order of the condensation DAG).  Used by the
-#: condensation analyzer of the modular complementation subsystem.
-tarjan_sccs = _tarjan_sccs
-
-
 def _scc_is_accepting(auto: GBA, component: list[State]) -> bool:
     members = set(component)
     has_edge = any(t in members for q in component for t in auto.post(q))
@@ -431,19 +424,18 @@ def _scc_is_accepting(auto: GBA, component: list[State]) -> bool:
     return not needed
 
 
-def find_accepting_lasso(auto: GBA,
-                         deadline: float | None = None) -> UPWord | None:
+def find_accepting_lasso(auto: GBA) -> UPWord | None:
     """Extract an accepted ultimately periodic word, or None if empty.
 
     Finds a reachable accepting SCC, builds a stem by BFS from an
     initial state, and a period inside the SCC that visits a state of
-    every acceptance set before closing the cycle.  ``deadline``
-    (absolute ``perf_counter`` seconds) makes the SCC sweep raise
-    :class:`ExplorationTimeout` instead of overrunning a cooperative
-    budget on a large remainder.
+    every acceptance set before closing the cycle.  The scoped budget's
+    deadline makes the SCC sweep raise
+    :class:`~repro.core.budget.DeadlineExceeded` instead of overrunning
+    it on a large remainder.
     """
     target_scc: set[State] | None = None
-    for component in _tarjan_sccs(auto, deadline=deadline):
+    for component in tarjan_sccs(auto):
         if _scc_is_accepting(auto, component):
             target_scc = set(component)
             break

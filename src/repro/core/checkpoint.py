@@ -24,9 +24,10 @@ round so an interrupted analysis warm-starts instead of recomputing:
   so a checkpoint is reused only while program, configuration, and
   analysis version all match.
 - **the trust model**: a checkpoint is *untrusted input*.  On restore
-  every module is re-validated against the Definition 3.1 obligations
-  (:func:`repro.core.module.validate_module`) with fault injection
-  suspended and the budget cleared -- the verdict-firewall discipline.
+  every module passes the trust gate
+  (:func:`repro.core.module.revalidate`: the Definition 3.1 obligations
+  plus source-word acceptance, with fault injection suspended and the
+  budget cleared) -- the verdict-firewall discipline.
   Any module that fails (or any decode error, version/alphabet
   mismatch, torn file) rejects the whole checkpoint and the analysis
   cold-starts with a structured ``checkpoint.rejected`` incident.
@@ -42,7 +43,6 @@ import os
 from typing import Iterable
 
 import repro.faults as _faults
-from repro.core.budget import use_budget
 # The portable-dict serialization lives in the shared module codec
 # (also used by the cross-program library, repro.core.library); the
 # re-exports keep this module the stable import surface for
@@ -67,7 +67,7 @@ from repro.core.codec import (  # noqa: F401 - re-exported codec surface
     word_from_dict,
     word_to_dict,
 )
-from repro.core.module import CertifiedModule, validate_module
+from repro.core.module import CertifiedModule, revalidate
 from repro.obs import metrics as _metrics
 
 #: Bump on any incompatible change to the checkpoint layout; a version
@@ -219,10 +219,8 @@ class Checkpointer:
         any module failing the Definition 3.1 re-check or no longer
         accepting its source word -- rejects the *whole* checkpoint:
         ``self.rejected`` carries the reason and the caller cold-starts.
-        Validation runs with fault injection suspended and the budget
-        cleared, exactly like the verdict firewall: the checker must
-        see honest solver answers and cannot be starved by the budget
-        that may have killed the previous attempt.
+        Validation is :func:`~repro.core.module.revalidate`, the verdict
+        firewall's own gate.
         """
         self.rejected = None
         try:
@@ -246,21 +244,12 @@ class Checkpointer:
         except Exception as exc:  # noqa: BLE001 - untrusted input
             self._reject(f"{type(exc).__name__}: {exc}")
             return []
-        with _faults.suspended(), use_budget(None):
-            for index, module in enumerate(modules):
-                try:
-                    issues = validate_module(module)
-                except Exception as exc:  # noqa: BLE001 - untrusted input
-                    issues = [f"{type(exc).__name__}: {exc}"]
-                if issues:
-                    self._reject(f"module {index} ({module.stage}) failed "
-                                 f"re-validation: {issues[0]}")
-                    return []
-                if (module.source_word is not None
-                        and not module.language_contains(module.source_word)):
-                    self._reject(f"module {index} ({module.stage}) rejects "
-                                 f"its source word")
-                    return []
+        for index, module in enumerate(modules):
+            issues = revalidate(module)
+            if issues:
+                self._reject(f"module {index} ({module.stage}) failed "
+                             f"re-validation: {issues[0]}")
+                return []
         return modules
 
     def _reject(self, reason: str) -> None:

@@ -6,11 +6,11 @@ configuration disables the firewall).  The screen re-derives each
 verdict from first principles, using only machinery *outside* the
 refinement loop's trust base:
 
-- **TERMINATING** -- every certified module is re-checked against the
-  Definition 3.1 obligations (:func:`repro.core.module.validate_module`:
-  certificate coverage, ``oldrnk``-at-infinity initials, rank decrease
-  at accepting states, all Hoare triples), each module must still accept
-  the counterexample word it was built from, and the final uncertified
+- **TERMINATING** -- every certified module passes the trust gate
+  (:func:`repro.core.module.revalidate`: the Definition 3.1 obligations
+  -- certificate coverage, ``oldrnk``-at-infinity initials, rank
+  decrease at accepting states, all Hoare triples -- and acceptance of
+  the counterexample word it was built from), and the final uncertified
   remainder is re-searched for an accepting lasso.
 - **NONTERMINATING** -- the recorded witness state is replayed through
   the concrete interpreter (:func:`repro.program.interp.run_word`): it
@@ -26,6 +26,8 @@ answer, not a wrong one.
 The screen runs with fault injection suspended and the resource budget
 cleared: its solver calls must see honest answers, and a budget that
 ended the analysis must not also starve the validation of the result.
+Only the remainder re-search gets a budget: the screen's allowance.
+Counters land on the result's own ``stats.metrics``.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ import time
 from fractions import Fraction
 
 import repro.faults as faults
-from repro.automata.emptiness import ExplorationTimeout, find_accepting_lasso
-from repro.core.budget import use_budget
-from repro.core.module import validate_module
+from repro.automata.emptiness import find_accepting_lasso
+from repro.core.budget import Budget, DeadlineExceeded, use_budget
+from repro.core.module import revalidate
 from repro.core.refinement import TerminationResult, Verdict
 from repro.core.stats import Incident
 from repro.logic.terms import var
-from repro.obs import metrics as _metrics
 from repro.program.interp import run_word
 from repro.program.statements import Havoc
 from repro.ranking.lasso import Lasso, primed
@@ -71,7 +72,8 @@ def screen(result: TerminationResult, timeout: float | None = None,
     """
     if result.verdict is Verdict.UNKNOWN:
         return result
-    _metrics.inc("firewall.screens")
+    stats = result.stats
+    stats.count("firewall.screens")
     deadline = time.perf_counter() + _allowance(timeout)
     with faults.suspended(), use_budget(None):
         if result.verdict is Verdict.TERMINATING:
@@ -79,12 +81,11 @@ def screen(result: TerminationResult, timeout: float | None = None,
         else:
             problems = _check_nonterminating(result)
     if not problems:
-        _metrics.inc("firewall.passed")
+        stats.count("firewall.passed")
         return result
     for kind, detail in problems:
-        result.stats.record_incident(Incident(kind, "firewall", detail))
-        _metrics.inc("firewall.incidents")
-        _metrics.inc(f"incidents.{kind}")
+        stats.record_incident(Incident(kind, "firewall", detail))
+        stats.count("firewall.incidents")
     first_kind, first_detail = problems[0]
     downgraded = TerminationResult(
         Verdict.UNKNOWN, result.modules, None, None, result.stats,
@@ -98,27 +99,22 @@ def _check_terminating(result: TerminationResult,
     problems: list[tuple[str, str]] = []
     for index, module in enumerate(result.modules):
         if time.perf_counter() > deadline:
-            _metrics.inc("firewall.truncated")
+            result.stats.count("firewall.truncated")
             break
-        issues = validate_module(module)
+        issues = revalidate(module)
         if issues:
             problems.append((
                 "firewall.certificate",
                 f"module {index} ({module.stage}): {issues[0]}"))
-            continue
-        if (module.source_word is not None
-                and not module.language_contains(module.source_word)):
-            problems.append((
-                "firewall.certificate",
-                f"module {index} ({module.stage}) rejects its source word"))
     if result.remainder is not None:
         try:
-            lasso = find_accepting_lasso(result.remainder, deadline=deadline)
-        except ExplorationTimeout:
+            with use_budget(Budget(deadline=deadline)):
+                lasso = find_accepting_lasso(result.remainder)
+        except DeadlineExceeded:
             # Inconclusive recheck; the module certificates above carry
             # the verdict, so a slow emptiness re-search does not
             # invalidate it.
-            _metrics.inc("firewall.truncated")
+            result.stats.count("firewall.truncated")
             lasso = None
         if lasso is not None:
             problems.append((

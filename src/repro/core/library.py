@@ -30,8 +30,8 @@ asks the library first (:meth:`ModuleLibrary.match`): an
 alphabet-compatibility prefilter (entry symbols must be a subset of
 the program's, by ``str``), then "does the candidate accept the
 counterexample word", and only then -- on the one entry about to be
-used -- the full Definition 3.1 re-validation with fault injection
-suspended and the budget cleared, exactly like checkpoint restore.  A
+used -- the trust gate :func:`repro.core.module.revalidate`, exactly
+like checkpoint restore and the verdict firewall.  A
 validated hit is subtracted with **zero** synthesis/LP work.
 
 **The trust model.**  Published entries are untrusted input, exactly
@@ -59,10 +59,9 @@ import json
 import os
 
 import repro.faults as _faults
-from repro.core.budget import use_budget
 from repro.core.codec import (CodecError, module_from_dict, module_symbols,
                               module_to_dict, symbol_table)
-from repro.core.module import CertifiedModule, validate_module
+from repro.core.module import CertifiedModule, revalidate
 from repro.obs import metrics as _metrics
 
 #: Bump on any incompatible change to the entry layout; mismatched
@@ -233,18 +232,10 @@ class ModuleLibrary:
     def _validate(self, entry: _Entry, module: CertifiedModule) -> bool:
         if entry.id in self._validated:
             return True
-        # The firewall discipline, exactly like checkpoint restore:
-        # honest solver answers (faults suspended) and no budget -- the
+        # The firewall's gate, exactly like checkpoint restore: the
         # re-check must not be starved by the deadline that pressured
         # the round into querying the library in the first place.
-        with _faults.suspended(), use_budget(None):
-            try:
-                issues = validate_module(module)
-            except Exception as exc:  # noqa: BLE001 - untrusted input
-                issues = [f"{type(exc).__name__}: {exc}"]
-            if (not issues and module.source_word is not None
-                    and not module.language_contains(module.source_word)):
-                issues = ["module rejects its source word"]
+        issues = revalidate(module)
         if issues:
             self._reject(entry, f"failed re-validation: {issues[0]}")
             return False

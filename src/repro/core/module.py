@@ -9,15 +9,18 @@ the ranking function below the remembered ``oldrnk``.
 
 ``validate_module`` mechanically discharges all Definition 3.1
 obligations; every stage construction in :mod:`repro.core.stages` is
-validated in the test suite against it.
+validated in the test suite against it.  ``revalidate`` is the trust
+gate for modules from firewall, checkpoint restore and module library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import repro.faults as faults
 from repro.automata.gba import GBA, State
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import use_budget
 from repro.logic.atoms import atom_le
 from repro.logic.linconj import TRUE
 from repro.logic.predicates import OLDRNK, Pred
@@ -37,9 +40,6 @@ class CertifiedModule:
 
     def language_contains(self, word: UPWord) -> bool:
         return accepts(self.automaton, word)
-
-    def states(self) -> frozenset[State]:
-        return self.automaton.states
 
     def __repr__(self) -> str:
         return (f"CertifiedModule(stage={self.stage!r}, "
@@ -86,3 +86,18 @@ def validate_module(module: CertifiedModule) -> list[str]:
                     f"triple invalid: {{{cert[q]}}} {stmt} {{{cert[target]}}}"
                     f"  ({q} -> {target}{' with oldrnk update' if update else ''})")
     return problems
+
+
+def revalidate(module: CertifiedModule) -> list[str]:
+    """:func:`validate_module` plus source-word acceptance, with honest
+    solver answers (faults suspended) and no budget; any exception is a
+    violation too.  Returns the violations (empty = trusted)."""
+    with faults.suspended(), use_budget(None):
+        try:
+            issues = validate_module(module)
+            if (not issues and module.source_word is not None
+                    and not module.language_contains(module.source_word)):
+                issues = ["rejects its source word"]
+        except Exception as exc:  # noqa: BLE001 - untrusted input
+            issues = [f"{type(exc).__name__}: {exc}"]
+    return issues

@@ -17,14 +17,13 @@ found (NONTERMINATING), or a budget is exhausted (UNKNOWN).
 
 Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
 (wall-clock deadline plus macrostate/antichain/FM caps from the
-configuration) scoped via ``use_budget``, so the solver and automata
-layers can poll it without parameter threading.  Cap overruns surface as
-typed :class:`~repro.core.budget.ResourceExhausted` errors caught here
-at round boundaries: a deadline always ends the run (UNKNOWN/timeout),
-while a state or constraint blowup first walks the *degradation ladder*
--- the same proof re-generalized at structurally cheaper stages -- and
-only becomes UNKNOWN when every rung blows up too.  Each fallback is
-recorded as an ``Incident`` on the run's stats.
+configuration) scoped via ``use_budget``, the only route by which the
+deadline reaches the solver and automata layers.  A state or constraint
+blowup first walks the *degradation ladder* -- the same proof
+re-generalized at structurally cheaper stages -- and only becomes
+UNKNOWN when every rung blows up too; each fallback is recorded as an
+``Incident`` on the run's stats.  A deadline, wherever it hits, reaches
+the one handler at the end of the loop and ends the run UNKNOWN/timeout.
 
 Each run is observed end to end: an ``analysis`` span wraps the loop,
 every iteration gets a ``round`` span (with ``lasso-search``,
@@ -45,8 +44,8 @@ from repro.automata.difference import difference
 from repro.automata.emptiness import find_accepting_lasso
 from repro.automata.gba import GBA
 from repro.automata.words import UPWord
-from repro.core.budget import (Budget, DeadlineExceeded, ResourceExhausted,
-                               use_budget)
+from repro.core.budget import (Budget, Capped, DeadlineExceeded,
+                               ResourceExhausted, use_budget)
 from repro.core.config import AnalysisConfig
 from repro.core.module import CertifiedModule
 from repro.core.stages import Stage, build_finite_module, generalize
@@ -143,66 +142,71 @@ class RefinementEngine:
     def run(self) -> TerminationResult:
         tracer = get_tracer()
         registry = MetricsRegistry()
-        with obs_metrics.use_registry(registry):
-            with tracer.span("analysis", program=self._cfg.name,
-                             config=self._config.describe()) as span:
-                result = self._run(tracer, registry)
-                span.set(verdict=result.verdict.value,
-                         rounds=result.stats.iterations)
-        return result
-
-    def _run(self, tracer, registry: MetricsRegistry) -> TerminationResult:
         config = self._config
-        collector = self._collector
-        deadline = (time.perf_counter() + config.timeout
-                    if config.timeout is not None else None)
-        budget = Budget(deadline=deadline,
+        budget = Budget(deadline=(time.perf_counter() + config.timeout
+                                  if config.timeout is not None else None),
                         macrostate_cap=config.macrostate_cap,
                         antichain_cap=config.antichain_cap,
                         fm_constraint_cap=config.fm_constraint_cap,
                         simulation_cap=config.simulation_cap)
-        with use_budget(budget):
-            return self._refine(tracer, registry, deadline)
+        with obs_metrics.use_registry(registry), use_budget(budget):
+            with tracer.span("analysis", program=self._cfg.name,
+                             config=config.describe()) as span:
+                result = self._refine(tracer, registry, budget)
+                span.set(verdict=result.verdict.value,
+                         rounds=result.stats.iterations)
+        return result
 
     def _refine(self, tracer, registry: MetricsRegistry,
-                deadline: float | None) -> TerminationResult:
+                budget: Budget) -> TerminationResult:
         config = self._config
         collector = self._collector
         program_gba: GBA = self._cfg.to_gba()
         alphabet = program_gba.alphabet
         current = program_gba
         modules: list[CertifiedModule] = []
-        round_start = time.perf_counter()
         library = self._library
-        # Deltas, not absolutes: one ModuleLibrary handle may serve
-        # several runs (a sequential portfolio shares its index cache),
-        # so each run's stats report only its own traffic.
-        library_base = ((library.hits, library.misses)
-                        if library is not None else (0, 0))
+        checkpoint = self._checkpoint
+        round_start = time.perf_counter()
+        # The round in progress: recorded by whichever exit ends it
+        # (commit, or any verdict -- a timeout included).
+        open_round: RefinementRound | None = None
+
+        def close_round() -> None:
+            nonlocal open_round
+            if open_round is None:
+                return
+            open_round.seconds = time.perf_counter() - round_start
+            registry.counter("refinement.rounds").inc()
+            registry.histogram("round.seconds").observe(open_round.seconds)
+            collector.stats.record_round(open_round)
+            open_round = None
 
         def finish(verdict: Verdict, *, witness=None, word=None,
                    reason: str | None = None) -> TerminationResult:
+            close_round()
             stats = collector.finish(self._cfg.name, config.describe(), reason)
             stats.metrics = registry.snapshot()
-            if library is not None:
-                stats.library_hits = library.hits - library_base[0]
-                stats.library_misses = library.misses - library_base[1]
             result = TerminationResult(verdict, modules, witness, word,
                                        stats, reason)
             if verdict is Verdict.TERMINATING:
                 result.remainder = current
             return result
 
-        def record(round_stats: RefinementRound) -> None:
-            round_stats.seconds = time.perf_counter() - round_start
-            registry.counter("refinement.rounds").inc()
-            registry.histogram("round.seconds").observe(round_stats.seconds)
-            collector.stats.record_round(round_stats)
-
         def note(kind: str, component: str, detail: str, index: int) -> None:
             collector.stats.record_incident(
                 Incident(kind, component, detail, round=index))
             registry.counter(f"incidents.{kind}").inc()
+
+        def exhausted(component: str, exc: ResourceExhausted,
+                      index: int) -> TerminationResult:
+            """End the run on a cap no cheaper stage could dodge."""
+            note("budget.exhausted", component,
+                 f"{exc.resource}: {exc.detail}", index)
+            reason = ("difference state limit"
+                      if exc.resource == "difference-states"
+                      else f"resource exhausted: {exc.resource}")
+            return finish(Verdict.UNKNOWN, reason=reason)
 
         pinned_kind = (ComplementKind(config.complement_kind)
                        if config.complement_kind else None)
@@ -225,30 +229,25 @@ class RefinementEngine:
                 kind=module_kind,
                 cache=config.kernel_cache,
                 simulation_reduction=config.simulation_reduction,
-                state_limit=config.difference_state_limit,
-                deadline=deadline)
+                state_limit=config.difference_state_limit)
 
         def degrade(failed: CertifiedModule, proof, exc: ResourceExhausted,
                     index: int):
-            """Walk the ladder below ``failed``'s stage; retry the
-            subtraction at each rung.  Returns ``(module, result)`` on
-            success, ``(None, last_exc)`` when every rung blows up.
-            Deadline overruns propagate -- time cannot be degraded away.
-            """
+            """Walk the ladder below ``failed``'s stage, retrying the
+            subtraction at each rung: ``(module, result, None)``, or
+            ``(None, None, last_overrun)`` when every rung blows up."""
             tried = {failed.stage}
             last: ResourceExhausted = exc
             for stage in ladder_tail(failed.stage):
                 if stage.value in tried:
                     continue
-                try:
+                with Capped() as cap:
                     candidate = generalize(
                         proof, (stage,), alphabet,
                         state_budget=config.stage_state_budget,
                         interpolants=False)
-                except DeadlineExceeded:
-                    raise
-                except ResourceExhausted as gen_exc:
-                    last = gen_exc
+                if cap.overrun is not None:
+                    last = cap.overrun
                     continue
                 if candidate.stage in tried:
                     continue
@@ -257,257 +256,210 @@ class RefinementEngine:
                      f"{failed.stage} -> {candidate.stage} "
                      f"after {last.resource}", index)
                 registry.counter("budget.degradations").inc()
+                with Capped() as cap:
+                    return candidate, subtract(current, candidate), None
+                last = cap.overrun
+            return None, None, last
+
+        def commit(module: CertifiedModule, result, *, fresh: bool,
+                   companion: CertifiedModule | None = None) -> bool:
+            """Make ``module``'s subtraction the new remainder and close
+            the open round; True when the remainder is empty."""
+            nonlocal current
+            if result.kind in (ComplementKind.SDBA_ORIGINAL,
+                               ComplementKind.SDBA_LAZY):
+                # the Figure 4 corpus: every SDBA sent to NCSB
+                collector.observe_sdba(module.automaton)
+            collector.observe_difference(open_round, result)
+            current = result.automaton
+            if companion is not None and not result.is_empty:
                 try:
-                    return candidate, subtract(current, candidate)
-                except DeadlineExceeded:
-                    raise
-                except ResourceExhausted as retry_exc:
-                    last = retry_exc
-            return None, last
-
-        checkpoint = self._checkpoint
-
-        def save_checkpoint() -> None:
+                    extra = subtract(current, companion)
+                except ResourceExhausted:
+                    # Includes deadline overruns: the companion is an
+                    # optional extra subtraction, and the next round's
+                    # deadline check ends the run if time is truly up.
+                    extra = None
+                if extra is not None:
+                    modules.append(companion)
+                    if library is not None:
+                        library.publish(companion, program=self._cfg.name)
+                    collector.stats.modules_by_stage[companion.stage] += 1
+                    # Fold the companion subtraction into the round's
+                    # counters: it is real effort of this round, and the
+                    # round's remainder size is the post-companion one
+                    # (a companion emptying the remainder must show).
+                    collector.observe_companion(open_round, extra,
+                                                companion.stage)
+                    current = extra.automaton
+            close_round()
+            modules.append(module)
+            if fresh and library is not None:
+                # Publish only freshly certified modules: library hits
+                # are already in the file, restored checkpoint modules
+                # were published by the run that earned them.
+                library.publish(module, program=self._cfg.name)
             if checkpoint is not None:
                 checkpoint.save(alphabet, modules)
+            return not current.initial_states()
 
-        if checkpoint is not None:
-            # Warm start: re-validate the persisted decomposition
-            # (Definition 3.1, firewall-style -- inside restore()) and
-            # re-subtract each surviving module from the fresh program
-            # automaton.  Only the *validated modules* come from disk;
-            # the remainder is rebuilt here, so the checkpoint never
-            # enters the trust base.  A rejected checkpoint costs
-            # nothing but the cold start it degrades to.
-            restored = checkpoint.restore(alphabet)
-            if checkpoint.rejected:
-                note("checkpoint.rejected", "checkpoint",
-                     checkpoint.rejected, None)
-            for module in restored:
-                try:
-                    result = subtract(current, module)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    # The re-subtraction itself blew a cap: keep the
-                    # modules already seeded (each was sound on its
-                    # own) and let the refinement loop take it from
-                    # the remainder built so far.
-                    note("budget.degraded", "checkpoint",
-                         f"restore stopped after "
-                         f"{checkpoint.restored_rounds} rounds: "
-                         f"{exc.resource}", None)
-                    break
-                current = result.automaton
-                modules.append(module)
-                collector.stats.modules_by_stage[module.stage] += 1
-                checkpoint.restored_rounds += 1
-                collector.stats.restored_rounds += 1
-                registry.counter("checkpoint.rounds_restored").inc()
-            if modules and not current.initial_states():
-                return finish(Verdict.TERMINATING)
-
-        for index in range(config.max_refinements):
-            if deadline is not None and time.perf_counter() > deadline:
-                return finish(Verdict.UNKNOWN, reason="timeout")
-            round_start = time.perf_counter()
-            with tracer.span("round", index=index) as round_span:
-                # The budget is checked *inside* the long explorations
-                # too (lasso search here, Algorithm 1 in difference, the
-                # FM combination step in the solver), so one oversized
-                # round cannot blow far past the deadline.
-                try:
-                    with tracer.span("lasso-search"):
-                        word = find_accepting_lasso(current, deadline=deadline)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                if word is None:
+        try:
+            if checkpoint is not None:
+                # Warm start: only the modules restore() re-validated come
+                # from disk; the remainder is rebuilt here, so the
+                # checkpoint never enters the trust base.  A rejected
+                # checkpoint costs nothing but the cold start.
+                restored = checkpoint.restore(alphabet)
+                if checkpoint.rejected:
+                    note("checkpoint.rejected", "checkpoint",
+                         checkpoint.rejected, None)
+                for module in restored:
+                    with Capped() as cap:
+                        result = subtract(current, module)
+                    if cap.overrun is not None:
+                        # The re-subtraction itself blew a cap: keep the
+                        # modules already seeded (each was sound on its
+                        # own) and let the refinement loop take it from
+                        # the remainder built so far.
+                        note("budget.degraded", "checkpoint",
+                             f"restore stopped after "
+                             f"{checkpoint.restored_rounds} rounds: "
+                             f"{cap.overrun.resource}", None)
+                        break
+                    current = result.automaton
+                    modules.append(module)
+                    collector.stats.modules_by_stage[module.stage] += 1
+                    checkpoint.restored_rounds += 1
+                    registry.counter("checkpoint.rounds_restored").inc()
+                if modules and not current.initial_states():
                     return finish(Verdict.TERMINATING)
-                round_span.set(word=str(word))
+            for index in range(config.max_refinements):
+                budget.check_deadline("refinement")
+                round_start = time.perf_counter()
+                with tracer.span("round", index=index) as round_span:
+                    # The budget is checked *inside* the long
+                    # explorations too (lasso search here, Algorithm 1
+                    # in difference, the FM combination step in the
+                    # solver), so one oversized round cannot blow far
+                    # past the deadline.
+                    with tracer.span("lasso-search"):
+                        word = find_accepting_lasso(current)
+                    if word is None:
+                        return finish(Verdict.TERMINATING)
+                    round_span.set(word=str(word))
 
-                if library is not None:
-                    # Reuse before synthesis: a published module that
-                    # accepts this counterexample and survives the
-                    # Definition 3.1 re-check is subtracted with zero
-                    # prover/LP work.  The library is advisory -- any
-                    # failure below just falls through to synthesis.
-                    hit: CertifiedModule | None = None
-                    try:
-                        with tracer.span("library-lookup") as lib_span:
-                            hit = library.match(word, alphabet)
-                            lib_span.set(hit=hit is not None)
-                    except Exception as exc:  # noqa: BLE001 - advisory layer
-                        note("library.error", "library",
-                             f"{type(exc).__name__}: {exc}", index)
-                        hit = None
-                    if hit is not None:
-                        round_stats = RefinementRound(
-                            word=str(word), proof_kind="library",
-                            stage=hit.stage,
-                            module_states=len(hit.automaton.states))
-                        round_span.set(library=True, stage=hit.stage)
+                    if library is not None:
+                        # Reuse before synthesis: a published module
+                        # that accepts this counterexample and survives
+                        # the Definition 3.1 re-check is subtracted with
+                        # zero prover/LP work.  The library is advisory
+                        # -- any failure below just falls through to
+                        # synthesis.
+                        hit: CertifiedModule | None = None
                         try:
-                            result = subtract(current, hit)
-                        except DeadlineExceeded:
-                            record(round_stats)
-                            return finish(Verdict.UNKNOWN, reason="timeout")
-                        except ResourceExhausted as exc:
+                            with tracer.span("library-lookup") as lib_span:
+                                hit = library.match(word, alphabet)
+                                lib_span.set(hit=hit is not None)
+                        except Exception as exc:  # noqa: BLE001 - advisory layer
+                            note("library.error", "library",
+                                 f"{type(exc).__name__}: {exc}", index)
+                        if hit is not None:
+                            open_round = RefinementRound(
+                                word=str(word), proof_kind="library",
+                                stage=hit.stage,
+                                module_states=len(hit.automaton.states))
+                            round_span.set(library=True, stage=hit.stage)
+                            with Capped() as cap:
+                                result = subtract(current, hit)
+                            if cap.overrun is None:
+                                if commit(hit, result, fresh=False):
+                                    return finish(Verdict.TERMINATING)
+                                continue
                             # A reused module blowing a cap is a miss in
                             # disguise: synthesize fresh, which can walk
                             # the degradation ladder stage by stage.
                             note("library.degraded", "library",
                                  f"reused {hit.stage} module blew "
-                                 f"{exc.resource}; synthesizing fresh",
+                                 f"{cap.overrun.resource}; synthesizing fresh",
                                  index)
-                            hit = None
-                    if hit is not None:
-                        if result.kind in (ComplementKind.SDBA_ORIGINAL,
-                                           ComplementKind.SDBA_LAZY):
-                            collector.observe_sdba(hit.automaton)
-                        collector.observe_difference(round_stats, result)
-                        current = result.automaton
-                        record(round_stats)
-                        modules.append(hit)
-                        save_checkpoint()
-                        if not current.initial_states():
-                            return finish(Verdict.TERMINATING)
-                        continue
+                            open_round = None
 
-                lasso = Lasso.from_word(word)
-                try:
-                    with tracer.span("prove-lasso") as proof_span:
+                    lasso = Lasso.from_word(word)
+                    with Capped() as cap, \
+                            tracer.span("prove-lasso") as proof_span:
                         proof = prove_lasso(
                             lasso,
                             check_nontermination=config.check_nontermination)
                         proof_span.set(kind=proof.kind.value)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    note("budget.exhausted", "prove-lasso",
-                         f"{exc.resource}: {exc.detail}", index)
-                    return finish(Verdict.UNKNOWN,
-                                  reason=f"resource exhausted: {exc.resource}")
-                round_span.set(proof=proof.kind.value)
-                round_stats = RefinementRound(word=str(word),
-                                              proof_kind=proof.kind.value)
-                if proof.kind is ProofKind.NONTERMINATING:
-                    record(round_stats)
-                    # Report the canonicalized lasso's word, not the sampled
-                    # one: Lasso.from_word may rotate the period, and the
-                    # nontermination witness state is a loop-head state of
-                    # the *rotated* loop -- replaying the sampled period from
-                    # it could block at the rotated-away guard.
-                    return finish(Verdict.NONTERMINATING,
-                                  witness=proof.witness, word=lasso.word())
-                if not proof.is_terminating:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, word=word,
-                                  reason=f"lasso not provable: {word}")
+                    if cap.overrun is not None:
+                        return exhausted("prove-lasso", cap.overrun, index)
+                    round_span.set(proof=proof.kind.value)
+                    open_round = RefinementRound(word=str(word),
+                                                 proof_kind=proof.kind.value)
+                    if proof.kind is ProofKind.NONTERMINATING:
+                        # Report the canonicalized lasso's word, not the
+                        # sampled one: Lasso.from_word may rotate the
+                        # period, and the nontermination witness state is
+                        # a loop-head state of the *rotated* loop --
+                        # replaying the sampled period from it could
+                        # block at the rotated-away guard.
+                        return finish(Verdict.NONTERMINATING,
+                                      witness=proof.witness, word=lasso.word())
+                    if not proof.is_terminating:
+                        return finish(Verdict.UNKNOWN, word=word,
+                                      reason=f"lasso not provable: {word}")
 
-                if deadline is not None and time.perf_counter() > deadline:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                try:
-                    with tracer.span("generalize") as gen_span:
+                    budget.check_deadline("generalize")
+                    with Capped() as cap, \
+                            tracer.span("generalize") as gen_span:
                         module = generalize(
                             proof, config.stages, alphabet,
                             state_budget=config.stage_state_budget,
                             interpolants=config.interpolant_modules)
                         gen_span.set(stage=module.stage,
                                      states=len(module.automaton.states))
-                except DeadlineExceeded:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    # Re-generalize at the cheap end of the ladder: the
-                    # finite/lasso modules exist for every proof and
-                    # need no powerset construction or solver calls.
-                    note("budget.degraded", "generalize",
-                         f"{exc.resource} -> fallback module", index)
-                    registry.counter("budget.degradations").inc()
-                    try:
-                        module = generalize(
-                            proof, (Stage.FINITE, Stage.LASSO), alphabet,
-                            state_budget=config.stage_state_budget,
-                            interpolants=False)
-                    except DeadlineExceeded:
-                        record(round_stats)
-                        return finish(Verdict.UNKNOWN, reason="timeout")
-                    except ResourceExhausted as exc2:
-                        record(round_stats)
-                        note("budget.exhausted", "generalize",
-                             f"{exc2.resource}: {exc2.detail}", index)
-                        return finish(
-                            Verdict.UNKNOWN,
-                            reason=f"resource exhausted: {exc2.resource}")
-                round_stats.stage = module.stage
-                round_stats.module_states = len(module.automaton.states)
-                round_span.set(stage=module.stage)
-                # With interpolant modules on, the O(1)-complement finite
-                # module still comes for free: subtract it in the same round
-                # so coverage is a strict superset of the stage-1 path.
-                companion: CertifiedModule | None = None
-                if (config.interpolant_modules
-                        and proof.kind is ProofKind.STEM_INFEASIBLE
-                        and module.stage != Stage.FINITE.value):
-                    companion = build_finite_module(proof, alphabet)
-                try:
-                    result = subtract(current, module)
-                except DeadlineExceeded:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    try:
-                        module, result = degrade(module, proof, exc, index)
-                    except DeadlineExceeded:
-                        record(round_stats)
-                        return finish(Verdict.UNKNOWN, reason="timeout")
-                    if module is None:
-                        last = result  # (None, last_exc) from degrade
-                        record(round_stats)
-                        note("budget.exhausted", "difference",
-                             f"{last.resource}: {last.detail}", index)
-                        reason = ("difference state limit"
-                                  if last.resource == "difference-states"
-                                  else f"resource exhausted: {last.resource}")
-                        return finish(Verdict.UNKNOWN, reason=reason)
-                    round_stats.stage = module.stage
-                    round_stats.module_states = len(module.automaton.states)
-                    round_span.set(stage=module.stage, degraded=True)
-                if result.kind in (ComplementKind.SDBA_ORIGINAL,
-                                   ComplementKind.SDBA_LAZY):
-                    # the Figure 4 corpus: every SDBA sent to NCSB
-                    collector.observe_sdba(module.automaton)
-                collector.observe_difference(round_stats, result)
-                current = result.automaton
-                if companion is not None and not result.is_empty:
-                    try:
-                        extra = subtract(current, companion)
-                    except ResourceExhausted:
-                        # Includes deadline overruns: the companion is an
-                        # optional extra subtraction, and the next round's
-                        # deadline check ends the run if time is truly up.
-                        extra = None
-                    if extra is not None:
-                        modules.append(companion)
-                        if library is not None:
-                            library.publish(companion, program=self._cfg.name)
-                        collector.stats.modules_by_stage[companion.stage] += 1
-                        # Fold the companion subtraction into the round's
-                        # counters: it is real effort of this round, and the
-                        # round's remainder size is the post-companion one
-                        # (a companion emptying the remainder must show).
-                        collector.observe_companion(round_stats, extra,
-                                                    companion.stage)
-                        current = extra.automaton
-                record(round_stats)
-                modules.append(module)
-                if library is not None:
-                    # Publish only freshly certified modules: library
-                    # hits are already in the file, restored checkpoint
-                    # modules were published by the run that earned them.
-                    library.publish(module, program=self._cfg.name)
-                save_checkpoint()
-                if not current.initial_states():
-                    return finish(Verdict.TERMINATING)
-        return finish(Verdict.UNKNOWN, reason="refinement budget exhausted")
+                    if cap.overrun is not None:
+                        # Re-generalize at the cheap end of the ladder:
+                        # the finite/lasso modules exist for every proof
+                        # and need no powerset construction or solver
+                        # calls.
+                        note("budget.degraded", "generalize",
+                             f"{cap.overrun.resource} -> fallback module",
+                             index)
+                        registry.counter("budget.degradations").inc()
+                        with Capped() as cap:
+                            module = generalize(
+                                proof, (Stage.FINITE, Stage.LASSO), alphabet,
+                                state_budget=config.stage_state_budget,
+                                interpolants=False)
+                        if cap.overrun is not None:
+                            return exhausted("generalize", cap.overrun, index)
+                    open_round.stage = module.stage
+                    open_round.module_states = len(module.automaton.states)
+                    round_span.set(stage=module.stage)
+                    # With interpolant modules on, the O(1)-complement
+                    # finite module still comes for free: subtract it in
+                    # the same round so coverage is a strict superset of
+                    # the stage-1 path.
+                    companion: CertifiedModule | None = None
+                    if (config.interpolant_modules
+                            and proof.kind is ProofKind.STEM_INFEASIBLE
+                            and module.stage != Stage.FINITE.value):
+                        companion = build_finite_module(proof, alphabet)
+                    with Capped() as cap:
+                        result = subtract(current, module)
+                    if cap.overrun is not None:
+                        module, result, last = degrade(module, proof,
+                                                       cap.overrun, index)
+                        if last is not None:
+                            return exhausted("difference", last, index)
+                        open_round.stage = module.stage
+                        open_round.module_states = len(module.automaton.states)
+                        round_span.set(stage=module.stage, degraded=True)
+                    if commit(module, result, fresh=True, companion=companion):
+                        return finish(Verdict.TERMINATING)
+            return finish(Verdict.UNKNOWN, reason="refinement budget exhausted")
+        except DeadlineExceeded:
+            # The one place a timeout becomes a verdict, wherever the
+            # deadline hit; finish() records the round it cut short.
+            return finish(Verdict.UNKNOWN, reason="timeout")

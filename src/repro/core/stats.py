@@ -87,15 +87,6 @@ class AnalysisStats:
     total_seconds: float = 0.0
     peak_difference_states: int = 0
     gave_up_reason: str | None = None
-    #: Rounds seeded from a durable checkpoint instead of recomputed
-    #: (see :mod:`repro.core.checkpoint`); ``iterations`` counts only
-    #: the rounds this run actually performed.
-    restored_rounds: int = 0
-    #: Module-library traffic (see :mod:`repro.core.library`): rounds
-    #: answered by a reused certified module vs. counterexamples no
-    #: entry could answer.  Both zero when no library is attached.
-    library_hits: int = 0
-    library_misses: int = 0
     #: Snapshot of the run's metrics registry (see :mod:`repro.obs.metrics`):
     #: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
     metrics: dict = field(default_factory=dict)
@@ -106,11 +97,32 @@ class AnalysisStats:
     def iterations(self) -> int:
         return len(self.rounds)
 
+    def counter(self, name: str) -> int:
+        return self.metrics.get("counters", {}).get(name, 0)
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Bump a snapshot counter: for events after the run's registry
+        closed (incidents, the verdict firewall)."""
+        counters = self.metrics.setdefault("counters", {})
+        counters[name] = counters.get(name, 0) + n
+
+    # Views over the counters: rounds seeded from a checkpoint (not in
+    # ``iterations``), and module-library hits / misses.
+    @property
+    def restored_rounds(self) -> int:
+        return self.counter("checkpoint.rounds_restored")
+
+    @property
+    def library_hits(self) -> int:
+        return self.counter("library.hits")
+
+    @property
+    def library_misses(self) -> int:
+        return self.counter("library.misses")
+
     def record_incident(self, incident: Incident) -> None:
         self.incidents.append(incident)
-        counters = self.metrics.setdefault("counters", {})
-        key = f"incidents.{incident.kind}"
-        counters[key] = counters.get(key, 0) + 1
+        self.count(f"incidents.{incident.kind}")
 
     def record_round(self, round_stats: RefinementRound) -> None:
         self.rounds.append(round_stats)
@@ -150,9 +162,6 @@ class AnalysisStats:
                     total_seconds=data.get("total_seconds", 0.0),
                     peak_difference_states=data.get("peak_difference_states", 0),
                     gave_up_reason=data.get("gave_up_reason"),
-                    restored_rounds=data.get("restored_rounds", 0),
-                    library_hits=data.get("library_hits", 0),
-                    library_misses=data.get("library_misses", 0),
                     metrics=data.get("metrics", {}))
         stats.rounds = [RefinementRound(**r) for r in data.get("rounds", ())]
         stats.modules_by_stage = Counter(data.get("modules_by_stage", {}))

@@ -222,17 +222,29 @@ def test_blown_state_limit_still_registers_partial_effort():
     assert counters.get("difference.aborted", 0) == 1
 
 
-def test_expired_deadline_still_registers_partial_effort():
+def test_expired_deadline_still_registers_partial_effort(monkeypatch):
+    import importlib
     import time
 
-    from repro.core.budget import DeadlineExceeded
+    from repro.core.budget import Budget, DeadlineExceeded, use_budget
     from repro.obs.metrics import MetricsRegistry, use_registry
 
+    # The deadline expires once the product exploration starts (the
+    # complement construction polls the scoped budget too, and would
+    # otherwise stop the call before any exploration effort exists).
+    difference_module = importlib.import_module("repro.automata.difference")
+    explore = difference_module.remove_useless
+
+    def explore_past_deadline(*args, **kwargs):
+        with use_budget(Budget(deadline=time.perf_counter() - 1.0)):
+            return explore(*args, **kwargs)
+
+    monkeypatch.setattr(difference_module, "remove_useless",
+                        explore_past_deadline)
     minuend = random_ba(3, n=5)
     subtrahend = random_ba(4, n=4)
     with use_registry(MetricsRegistry()) as registry:
         with pytest.raises(DeadlineExceeded):
-            difference(minuend, subtrahend,
-                       deadline=time.perf_counter() - 1.0)
+            difference(minuend, subtrahend)
         counters = registry.snapshot()["counters"]
     assert counters.get("difference.aborted", 0) == 1

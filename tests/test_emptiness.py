@@ -205,13 +205,14 @@ def fan_out_gba(symbols: int) -> GBA:
 def test_deadline_polled_on_explored_edges():
     import time
 
-    from repro.automata.emptiness import ExplorationTimeout
+    from repro.core.budget import Budget, DeadlineExceeded, use_budget
 
     # With a single state the pushed-state poll never fires; the edge
     # poll must catch the expired deadline anyway.
     auto = fan_out_gba(2000)
-    with pytest.raises(ExplorationTimeout):
-        remove_useless(auto, deadline=time.perf_counter() - 1.0)
+    with pytest.raises(DeadlineExceeded), \
+            use_budget(Budget(deadline=time.perf_counter() - 1.0)):
+        remove_useless(auto)
 
 
 def test_fan_out_gba_completes_without_deadline():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from repro.automata.gba import ba
 from repro.core.api import prove_termination_source
 from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
@@ -122,3 +123,33 @@ def test_firewall_on_by_default_stays_conclusive():
     assert result.verdict is Verdict.TERMINATING
     result = prove_termination_source(DIVERGING, AnalysisConfig(timeout=30.0))
     assert result.verdict is Verdict.NONTERMINATING
+
+
+def test_firewall_counts_on_the_runs_own_counters():
+    # The screen runs after the engine's registry closed; its counters
+    # must still reach the result (and so --json, store rows, reports).
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    counters = result.stats.metrics["counters"]
+    assert counters["firewall.screens"] == 1
+    assert counters["firewall.passed"] == 1
+    assert "firewall.incidents" not in counters
+
+
+def test_module_that_breaks_the_checker_is_downgraded():
+    # A transition symbol that is not a Statement makes validate_module
+    # raise; the firewall must turn that into a violation, not crash.
+    result = unscreened(COUNTDOWN)
+    module = result.modules[0]
+    auto = module.automaton
+    module.automaton = ba(
+        {str(symbol) for symbol in auto.alphabet},
+        {(q, str(symbol)): targets
+         for (q, symbol), targets in auto.transitions.items()},
+        auto.initial_states(), auto.accepting, states=auto.states)
+    screened = screen(result, timeout=30.0)
+    assert screened.verdict is Verdict.UNKNOWN
+    assert any(i.kind == "firewall.certificate"
+               for i in firewall_incidents(screened))
+    counters = screened.stats.metrics["counters"]
+    assert counters["firewall.incidents"] >= 1
+    assert counters["incidents.firewall.certificate"] >= 1

@@ -115,13 +115,14 @@ def test_deadline_checked_inside_lasso_search():
     wait for the next round boundary."""
     import time
 
-    from repro.automata.emptiness import (ExplorationTimeout,
-                                          find_accepting_lasso)
+    from repro.automata.emptiness import find_accepting_lasso
+    from repro.core.budget import Budget, DeadlineExceeded, use_budget
     from repro.program.cfg import build_cfg
 
     gba = build_cfg(parse_program(SORT)).to_gba()
-    with pytest.raises(ExplorationTimeout):
-        find_accepting_lasso(gba, deadline=time.perf_counter() - 1.0)
+    with pytest.raises(DeadlineExceeded), \
+            use_budget(Budget(deadline=time.perf_counter() - 1.0)):
+        find_accepting_lasso(gba)
     # and without a deadline the same search still succeeds
     assert find_accepting_lasso(gba) is not None
 
