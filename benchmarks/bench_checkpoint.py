@@ -35,21 +35,21 @@ def checkpointed_run(program, directory: str, key: str):
     start = time.perf_counter()
     result = prove_termination(program, AnalysisConfig(timeout=TIMEOUT * 4),
                                checkpoint=checkpoint)
-    return time.perf_counter() - start, result, checkpoint
+    return time.perf_counter() - start, result
 
 
 def test_checkpoint_warm_restart_report():
     bench = sequential_loops(SCALE_K)
     program = bench.parse()
     with tempfile.TemporaryDirectory() as directory:
-        cold_seconds, cold, cp_cold = checkpointed_run(
+        cold_seconds, cold = checkpointed_run(
             program, directory, "bench-warm-restart")
-        warm_seconds, warm, cp_warm = checkpointed_run(
+        warm_seconds, warm = checkpointed_run(
             program, directory, "bench-warm-restart")
 
     assert cold.verdict == warm.verdict
-    assert cp_cold.saved == len(cold.modules)
-    assert cp_warm.restored_rounds == len(cold.modules)
+    assert cold.stats.counter("checkpoint.saves") == len(cold.modules)
+    assert warm.stats.restored_rounds == len(cold.modules)
     assert warm.stats.iterations == 0  # zero recomputed rounds
     assert warm_seconds < cold_seconds, \
         f"warm restart ({warm_seconds:.2f}s) not faster than cold " \
@@ -61,7 +61,7 @@ def test_checkpoint_warm_restart_report():
     print(f"  cold: {cold_seconds:7.2f}s  "
           f"({cold.stats.iterations} rounds computed)")
     print(f"  warm: {warm_seconds:7.2f}s  "
-          f"({cp_warm.restored_rounds} rounds restored, "
+          f"({warm.stats.restored_rounds} rounds restored, "
           f"{warm.stats.iterations} computed)")
     print(f"  speedup: {speedup:.1f}x")
 
@@ -71,7 +71,7 @@ def test_checkpoint_warm_restart_report():
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "rounds_cold": cold.stats.iterations,
-        "rounds_restored": cp_warm.restored_rounds,
+        "rounds_restored": warm.stats.restored_rounds,
         "rounds_recomputed": warm.stats.iterations,
         "speedup": speedup,
     })

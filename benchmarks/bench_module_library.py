@@ -56,12 +56,11 @@ def test_module_library_warm_corpus_report():
             assert cold.verdict.value == "terminating"
 
         baseline_seconds, baseline = timed_run(WARM_K, None)
-        warm_library = ModuleLibrary(path)
-        warm_seconds, warm = timed_run(WARM_K, warm_library)
+        warm_seconds, warm = timed_run(WARM_K, ModuleLibrary(path))
 
     assert warm.verdict == baseline.verdict
     assert warm.stats.library_hits >= 1
-    assert warm_library.rejected == 0
+    assert warm.stats.counter("library.rejected") == 0
 
     base_syn, warm_syn = syntheses(baseline), syntheses(warm)
     assert base_syn >= 1

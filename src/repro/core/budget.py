@@ -14,7 +14,9 @@ them one vocabulary:
   ladder (state/constraint blowups) and giving up (deadline),
 - :class:`DeadlineExceeded` is the wall-clock case -- once the deadline
   passed there is no cheaper stage worth trying,
-- :class:`Budget` bundles the caps and counts consumption,
+- :class:`Budget` bundles the deadline with the cumulative caps
+  (macro-states, antichain size, FM constraints, simulation pairs) and
+  counts consumption against them,
 - :class:`Capped` hands a cap overrun to a caller that can degrade,
   while a deadline propagates.
 
@@ -80,27 +82,24 @@ class Budget:
     at round boundaries, everyone else lets it propagate.
     """
 
-    __slots__ = ("deadline", "step_cap", "macrostate_cap", "antichain_cap",
-                 "fm_constraint_cap", "simulation_cap", "steps", "macrostates",
+    __slots__ = ("deadline", "macrostate_cap", "antichain_cap",
+                 "fm_constraint_cap", "simulation_cap", "macrostates",
                  "fm_checks", "simulation_pairs")
 
-    #: Deadline polling stride for the cheap counters: one
+    #: Deadline polling stride for the FM checkpoint: one
     #: ``perf_counter`` call per this many charges.
     CHECK_EVERY = 256
 
     def __init__(self, deadline: float | None = None, *,
-                 step_cap: int | None = None,
                  macrostate_cap: int | None = None,
                  antichain_cap: int | None = None,
                  fm_constraint_cap: int | None = None,
                  simulation_cap: int | None = None):
         self.deadline = deadline
-        self.step_cap = step_cap
         self.macrostate_cap = macrostate_cap
         self.antichain_cap = antichain_cap
         self.fm_constraint_cap = fm_constraint_cap
         self.simulation_cap = simulation_cap
-        self.steps = 0
         self.macrostates = 0
         self.fm_checks = 0
         self.simulation_pairs = 0
@@ -114,14 +113,6 @@ class Budget:
     def check_deadline(self, where: str = "") -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise DeadlineExceeded(where, self.deadline)
-
-    def tick(self, n: int = 1, where: str = "steps") -> None:
-        """Charge ``n`` generic steps; polls the deadline periodically."""
-        self.steps += n
-        if self.step_cap is not None and self.steps > self.step_cap:
-            raise ResourceExhausted("steps", where, self.step_cap)
-        if self.steps % self.CHECK_EVERY < n:
-            self.check_deadline(where)
 
     def charge_macrostates(self, n: int = 1) -> None:
         """Charge ``n`` freshly built complement macro-states."""

@@ -134,9 +134,11 @@ class Checkpointer:
     Bound to a ``(directory, key)`` pair; the file is
     ``<directory>/checkpoint_<key>.json``.  All failure modes are
     contained: a failed save never interrupts the analysis, a bad
-    checkpoint never seeds it.  The instance keeps counters
-    (:meth:`summary`) so the harness can report what happened without
-    re-reading the file.
+    checkpoint never seeds it.  Saves, failed saves and rejections are
+    counted in the run's metrics registry (``checkpoint.saves`` /
+    ``.save_failures`` / ``.rejections``; the engine counts
+    ``checkpoint.rounds_restored``); the instance keeps only the last
+    rejection reason.
     """
 
     def __init__(self, directory: str, key: str, program: str = "?"):
@@ -145,14 +147,10 @@ class Checkpointer:
         self.program = program
         self.path = os.path.join(self.directory,
                                  f"checkpoint_{_sanitize(self.key)}.json")
-        #: successful atomic saves this run
-        self.saved = 0
-        #: saves lost to injected/real write failures
-        self.save_failures = 0
-        #: modules (= rounds) seeded from the checkpoint on restore
-        self.restored_rounds = 0
         #: why the checkpoint was rejected (None = not rejected)
         self.rejected: str | None = None
+        # which crash shape the next injected write fault leaves
+        self._torn_next = True
 
     # -- save -------------------------------------------------------------------
 
@@ -167,8 +165,7 @@ class Checkpointer:
         try:
             data = encode_checkpoint(self.key, self.program, alphabet, modules)
             if data is None:
-                self.save_failures += 1
-                return False
+                raise CheckpointError("program alphabet is ambiguous under str()")
             text = json.dumps(data, sort_keys=True)
             os.makedirs(self.directory, exist_ok=True)
             tmp = self.path + ".tmp"
@@ -176,19 +173,15 @@ class Checkpointer:
                 _faults.perturb("checkpoint.write")
             except _faults.InjectedFault:
                 self._simulate_crash(text, tmp)
-                self.save_failures += 1
-                _metrics.inc("checkpoint.save_failures")
-                return False
+                raise
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
-        except OSError:
-            self.save_failures += 1
+        except (OSError, CheckpointError, _faults.InjectedFault):
             _metrics.inc("checkpoint.save_failures")
             return False
-        self.saved += 1
         _metrics.inc("checkpoint.saves")
         return True
 
@@ -198,8 +191,9 @@ class Checkpointer:
         a torn file at the *final* path (died mid-write before the
         rename protocol existed / direct-write bugs), and an orphaned
         complete tmp (died between fsync and rename)."""
+        torn, self._torn_next = self._torn_next, not self._torn_next
         try:
-            if self.save_failures % 2 == 0:
+            if torn:
                 with open(self.path, "w", encoding="utf-8") as fh:
                     fh.write(text[:max(1, len(text) // 2)])
             else:
@@ -255,15 +249,3 @@ class Checkpointer:
     def _reject(self, reason: str) -> None:
         self.rejected = reason
         _metrics.inc("checkpoint.rejections")
-
-    # -- reporting --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """JSON-ready counters for result rows / telemetry."""
-        out: dict = {"path": self.path, "saved": self.saved,
-                     "restored_rounds": self.restored_rounds}
-        if self.save_failures:
-            out["save_failures"] = self.save_failures
-        if self.rejected:
-            out["rejected"] = self.rejected
-        return out

@@ -68,9 +68,9 @@ from repro.obs import metrics as _metrics
 #: records are skipped on read (old libraries degrade, never break).
 LIBRARY_VERSION = 1
 
-#: Structured rejection reasons kept per run (the full stream also
-#: lands in the ``library.rejected`` counter); bounded so a hostile
-#: library cannot balloon result rows.
+#: Structured rejection reasons kept per run (the count of all of them
+#: is the ``library.rejected`` counter); bounded so a hostile library
+#: cannot balloon result rows.
 _MAX_REJECTIONS = 8
 
 
@@ -101,9 +101,10 @@ class ModuleLibrary:
 
     All failure modes are contained, mirroring :class:`Checkpointer`:
     a failed publish never interrupts the analysis, a bad entry never
-    seeds it -- ``match`` and ``publish`` do not raise.  Counters
-    (:meth:`summary`) let the harness report what happened without
-    re-reading the file.
+    seeds it -- ``match`` and ``publish`` do not raise.  Every event is
+    counted once, in the run's metrics registry (``library.hits`` /
+    ``.misses`` / ``.published`` / ``.publish_failures`` /
+    ``.rejected``); the handle keeps only the rejection reasons.
     """
 
     def __init__(self, path, code_version: str | None = None):
@@ -112,17 +113,8 @@ class ModuleLibrary:
             from repro.runner.store import code_version as current_version
             code_version = current_version()
         self.code_version = code_version
-        #: counterexamples answered by a validated library module
-        self.hits = 0
-        #: counterexamples no entry could answer
-        self.misses = 0
-        #: entries this run appended to the file
-        self.published = 0
-        #: publishes lost to injected/real write failures
-        self.publish_failures = 0
-        #: entries rejected by decode or Definition 3.1 re-validation
-        self.rejected = 0
-        #: structured reasons for the first few rejections
+        #: structured reasons for the first few entries rejected by
+        #: decode or Definition 3.1 re-validation
         self.rejections: list[dict] = []
         # -- the in-process index cache --
         self._stat: tuple[int, int] | None = None  # (size, mtime_ns) parsed
@@ -182,12 +174,7 @@ class ModuleLibrary:
         """
         self.refresh()
         hit = self._match(word, alphabet) if self._entries else None
-        if hit is None:
-            self.misses += 1
-            _metrics.inc("library.misses")
-        else:
-            self.hits += 1
-            _metrics.inc("library.hits")
+        _metrics.inc("library.misses" if hit is None else "library.hits")
         return hit
 
     def _match(self, word, alphabet) -> CertifiedModule | None:
@@ -244,7 +231,6 @@ class ModuleLibrary:
 
     def _reject(self, entry: _Entry, reason: str) -> None:
         self._bad.add(entry.id)
-        self.rejected += 1
         if len(self.rejections) < _MAX_REJECTIONS:
             self.rejections.append({"id": entry.id, "stage": entry.stage,
                                     "reason": reason})
@@ -263,9 +249,8 @@ class ModuleLibrary:
         """
         try:
             table = symbol_table(module_symbols(module))
-            if table is None:
-                self.publish_failures += 1
-                return False
+            if table is None:  # ambiguous str(): the codec cannot encode
+                raise ValueError("module symbols do not stringify uniquely")
             ordered, index = table
             record = {"v": LIBRARY_VERSION,
                       "code_version": self.code_version,
@@ -281,15 +266,11 @@ class ModuleLibrary:
                 _faults.perturb("library.publish")
             except _faults.InjectedFault:
                 self._publish_tampered(record)
-                self.publish_failures += 1
-                _metrics.inc("library.publish_failures")
-                return False
+                raise
             self._append(json.dumps(record, sort_keys=True) + "\n")
-        except (OSError, TypeError, ValueError):
-            self.publish_failures += 1
+        except (OSError, TypeError, ValueError, _faults.InjectedFault):
             _metrics.inc("library.publish_failures")
             return False
-        self.published += 1
         _metrics.inc("library.published")
         # Another worker may append between our write and the next
         # stat; dropping the cached stat forces a real re-read next
@@ -328,13 +309,9 @@ class ModuleLibrary:
     # -- reporting --------------------------------------------------------------
 
     def summary(self) -> dict:
-        """JSON-ready counters for result rows / telemetry."""
-        out: dict = {"path": self.path, "hits": self.hits,
-                     "misses": self.misses, "published": self.published}
-        if self.publish_failures:
-            out["publish_failures"] = self.publish_failures
-        if self.rejected:
-            out["rejected"] = self.rejected
+        """The row's ``library`` field: the file and the rejection
+        reasons.  Counts live in the run's metrics, not here."""
+        out: dict = {"path": self.path}
         if self.rejections:
             out["rejections"] = list(self.rejections)
         return out

@@ -194,7 +194,9 @@ class RefinementEngine:
             return result
 
         def note(kind: str, component: str, detail: str, index: int) -> None:
-            collector.stats.record_incident(
+            # Counted in the registry only: finish() replaces the stats
+            # snapshot with the registry's.
+            collector.stats.incidents.append(
                 Incident(kind, component, detail, round=index))
             registry.counter(f"incidents.{kind}").inc()
 
@@ -313,7 +315,7 @@ class RefinementEngine:
                 if checkpoint.rejected:
                     note("checkpoint.rejected", "checkpoint",
                          checkpoint.rejected, None)
-                for module in restored:
+                for seeded, module in enumerate(restored):
                     with Capped() as cap:
                         result = subtract(current, module)
                     if cap.overrun is not None:
@@ -322,14 +324,12 @@ class RefinementEngine:
                         # own) and let the refinement loop take it from
                         # the remainder built so far.
                         note("budget.degraded", "checkpoint",
-                             f"restore stopped after "
-                             f"{checkpoint.restored_rounds} rounds: "
+                             f"restore stopped after {seeded} rounds: "
                              f"{cap.overrun.resource}", None)
                         break
                     current = result.automaton
                     modules.append(module)
                     collector.stats.modules_by_stage[module.stage] += 1
-                    checkpoint.restored_rounds += 1
                     registry.counter("checkpoint.rounds_restored").inc()
                 if modules and not current.initial_states():
                     return finish(Verdict.TERMINATING)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.automata.difference import DifferenceResult
 from repro.automata.gba import GBA
@@ -52,28 +52,27 @@ class RefinementRound:
     word: str
     proof_kind: str
     stage: str | None = None
+    #: The per-round progress series: module size, remainder size and
+    #: product states explored.  Run-wide effort totals (cache hits,
+    #: subsumption hits, ...) live only in the run's metrics
+    #: (``difference.*`` counters).
     module_states: int = 0
     difference_states: int = 0
     explored_states: int = 0
-    subsumption_hits: int = 0
-    #: Successor-cache hits/misses of the memoization layer in this
-    #: round's difference computation.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Peak number of edges Algorithm 1 buffered during the exploration
-    #: (proportional to the useful/active part, see RemovalStats).
-    peak_pending_edges: int = 0
     complement_kind: str | None = None
     #: Per-kind accepting-component counts when this round's subtrahend
     #: went through modular complementation
     #: (``{"weak": .., "det": .., "rank": .., "inert": ..}``), else None.
     modular_components: dict | None = None
     #: Stage of the free companion module subtracted in the same round
-    #: (interpolant rounds), or None.  When set, the exploration
-    #: counters above include the companion subtraction's effort and
+    #: (interpolant rounds), or None.  When set, ``explored_states``
+    #: includes the companion subtraction's effort and
     #: ``difference_states`` is the post-companion remainder size.
     companion_stage: str | None = None
     seconds: float = 0.0
+
+
+_ROUND_FIELDS = frozenset(f.name for f in fields(RefinementRound))
 
 
 @dataclass
@@ -85,7 +84,6 @@ class AnalysisStats:
     rounds: list[RefinementRound] = field(default_factory=list)
     modules_by_stage: Counter = field(default_factory=Counter)
     total_seconds: float = 0.0
-    peak_difference_states: int = 0
     gave_up_reason: str | None = None
     #: Snapshot of the run's metrics registry (see :mod:`repro.obs.metrics`):
     #: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
@@ -96,6 +94,10 @@ class AnalysisStats:
     @property
     def iterations(self) -> int:
         return len(self.rounds)
+
+    @property
+    def peak_difference_states(self) -> int:
+        return max((r.difference_states for r in self.rounds), default=0)
 
     def counter(self, name: str) -> int:
         return self.metrics.get("counters", {}).get(name, 0)
@@ -128,8 +130,6 @@ class AnalysisStats:
         self.rounds.append(round_stats)
         if round_stats.stage:
             self.modules_by_stage[round_stats.stage] += 1
-        self.peak_difference_states = max(self.peak_difference_states,
-                                          round_stats.difference_states)
 
     def summary(self) -> str:
         stages = ", ".join(f"{k}={v}" for k, v in sorted(self.modules_by_stage.items()))
@@ -156,14 +156,16 @@ class AnalysisStats:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisStats":
-        """Inverse of :meth:`to_dict` (extra keys are ignored)."""
+        """Inverse of :meth:`to_dict`.  Extra keys are ignored, also on
+        the rounds, so rows written by older versions still load."""
         stats = cls(program=data.get("program", ""),
                     config=data.get("config", ""),
                     total_seconds=data.get("total_seconds", 0.0),
-                    peak_difference_states=data.get("peak_difference_states", 0),
                     gave_up_reason=data.get("gave_up_reason"),
                     metrics=data.get("metrics", {}))
-        stats.rounds = [RefinementRound(**r) for r in data.get("rounds", ())]
+        stats.rounds = [RefinementRound(**{k: v for k, v in r.items()
+                                           if k in _ROUND_FIELDS})
+                        for r in data.get("rounds", ())]
         stats.modules_by_stage = Counter(data.get("modules_by_stage", {}))
         stats.incidents = [Incident(**i) for i in data.get("incidents", ())]
         return stats
@@ -182,10 +184,6 @@ class StatsCollector:
                            result: DifferenceResult) -> None:
         round_stats.difference_states = len(result.automaton.states)
         round_stats.explored_states = result.stats.explored_states
-        round_stats.subsumption_hits = result.stats.subsumption_hits
-        round_stats.cache_hits = result.stats.cache_hits
-        round_stats.cache_misses = result.stats.cache_misses
-        round_stats.peak_pending_edges = result.stats.peak_pending_edges
         round_stats.complement_kind = result.kind.value
         round_stats.modular_components = result.stats.modular_components
 
@@ -194,18 +192,13 @@ class StatsCollector:
         """Fold a same-round companion subtraction into the round.
 
         Unlike :meth:`observe_difference` this *accumulates*: the
-        companion's exploration effort adds to the main subtraction's
-        counters, while ``difference_states`` becomes the size of the
-        remainder the round actually ends with.
+        companion's explored states add to the main subtraction's,
+        while ``difference_states`` becomes the size of the remainder
+        the round actually ends with.
         """
         round_stats.companion_stage = stage
         round_stats.difference_states = len(result.automaton.states)
         round_stats.explored_states += result.stats.explored_states
-        round_stats.subsumption_hits += result.stats.subsumption_hits
-        round_stats.cache_hits += result.stats.cache_hits
-        round_stats.cache_misses += result.stats.cache_misses
-        round_stats.peak_pending_edges = max(round_stats.peak_pending_edges,
-                                             result.stats.peak_pending_edges)
 
     def observe_sdba(self, automaton: GBA) -> None:
         if self.capture_sdbas:

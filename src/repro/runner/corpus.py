@@ -220,6 +220,37 @@ def outcome_row(outcome: TaskOutcome) -> dict:
     return row
 
 
+def _emit_worker_events(telemetry, row: dict) -> None:
+    """Re-emit a worker's checkpoint and library activity as fleet
+    events.  The worker has no handle on the parent's telemetry
+    channel, so the numbers come from the row's metrics snapshot and
+    the ``checkpoint.rejected`` incident; ``row["checkpoint"]`` and
+    ``row["library"]`` add only the file path and rejection reasons."""
+    key = row.get("key")
+    stats = row.get("stats") or {}
+    counters = (stats.get("metrics") or {}).get("counters", {})
+    path = (row.get("checkpoint") or {}).get("path")
+    if counters.get("checkpoint.saves"):
+        telemetry.emit("checkpoint.saved", key=key,
+                       rounds=counters["checkpoint.saves"], path=path)
+    if counters.get("checkpoint.rounds_restored"):
+        telemetry.emit("checkpoint.restored", key=key,
+                       rounds=counters["checkpoint.rounds_restored"], path=path)
+    for incident in stats.get("incidents", ()):
+        if incident.get("kind") == "checkpoint.rejected":
+            telemetry.emit("checkpoint.rejected", key=key,
+                           reason=incident.get("detail"), path=path)
+    for event, name in (("library.hit", "library.hits"),
+                        ("library.miss", "library.misses"),
+                        ("library.published", "library.published")):
+        if counters.get(name):
+            telemetry.emit(event, key=key, count=counters[name])
+    if counters.get("library.rejected"):
+        telemetry.emit("library.rejected", key=key,
+                       count=counters["library.rejected"],
+                       reasons=(row.get("library") or {}).get("rejections"))
+
+
 def run_corpus(manifest: dict,
                store_path: str | Path,
                workers: int | None = None,
@@ -258,6 +289,9 @@ def run_corpus(manifest: dict,
     reuse before synthesis, publish after certification -- and
     library traffic is surfaced as ``library.hit`` / ``library.miss``
     / ``library.published`` / ``library.rejected`` telemetry events.
+    Each event's ``count`` / ``rounds`` is the matching counter of the
+    row's own metrics snapshot (``row["stats"]["metrics"]``), the one
+    place the worker counted it.
     Returns the run summary; ``summary.rows`` holds **all** rows of
     the matrix, reused and new alike, for reporting.
     """
@@ -290,42 +324,7 @@ def run_corpus(manifest: dict,
             rows_by_key[row.get("key")] = row
             store.append(row)
             if pool.telemetry is not None:
-                # Checkpoint activity happens inside the worker, which
-                # has no handle on the parent's telemetry channel; the
-                # worker reports its Checkpointer summary in the row and
-                # the parent re-emits it as events here.
-                summary = row.get("checkpoint") or {}
-                key = row.get("key")
-                if summary.get("saved"):
-                    pool.telemetry.emit("checkpoint.saved", key=key,
-                                        rounds=summary["saved"],
-                                        path=summary.get("path"))
-                if summary.get("restored_rounds"):
-                    pool.telemetry.emit("checkpoint.restored", key=key,
-                                        rounds=summary["restored_rounds"],
-                                        path=summary.get("path"))
-                if summary.get("rejected"):
-                    pool.telemetry.emit("checkpoint.rejected", key=key,
-                                        reason=summary["rejected"],
-                                        path=summary.get("path"))
-                # Same pattern for the module library: the worker-side
-                # counters ride the row, the parent turns them into
-                # fleet events.
-                library_summary = row.get("library") or {}
-                if library_summary.get("hits"):
-                    pool.telemetry.emit("library.hit", key=key,
-                                        count=library_summary["hits"])
-                if library_summary.get("misses"):
-                    pool.telemetry.emit("library.miss", key=key,
-                                        count=library_summary["misses"])
-                if library_summary.get("published"):
-                    pool.telemetry.emit("library.published", key=key,
-                                        count=library_summary["published"])
-                if library_summary.get("rejected"):
-                    pool.telemetry.emit(
-                        "library.rejected", key=key,
-                        count=library_summary["rejected"],
-                        reasons=library_summary.get("rejections"))
+                _emit_worker_events(pool.telemetry, row)
             if on_row is not None:
                 on_row(row)
             if fail_fast and row.get("status") == "error":

@@ -112,13 +112,18 @@ def analysis_task(payload: dict) -> dict:
     (``checkpoint_key`` overrides, for callers whose ``key`` is not a
     store key) persists the certified decomposition after every round
     and warm-starts from a valid existing checkpoint.  The result row
-    carries the checkpoint counters under ``row["checkpoint"]``.
+    names the file under ``row["checkpoint"]["path"]``.
 
     With ``module_library`` set (a path), the analysis queries the
     shared cross-program certified-module library before each
     synthesis and publishes what it certifies
-    (:mod:`repro.core.library`); the result row carries the library
-    counters under ``row["library"]``.
+    (:mod:`repro.core.library`); ``row["library"]`` carries the file's
+    path and the reasons of any rejected entries.
+
+    Neither field carries a count: saves, restored rounds, library
+    hits and the rest are the ``checkpoint.*`` / ``library.*``
+    counters of ``row["stats"]["metrics"]``, and a rejected
+    checkpoint's reason is its ``checkpoint.rejected`` incident.
     """
     t0 = time.perf_counter()
     name = payload.get("name", "<anonymous>")
@@ -195,7 +200,7 @@ def analysis_task(payload: dict) -> dict:
         stats=stats.to_dict(),
     )
     if checkpoint is not None:
-        row["checkpoint"] = checkpoint.summary()
+        row["checkpoint"] = {"path": checkpoint.path}
     if library is not None:
         row["library"] = library.summary()
     if payload.get("want_result"):

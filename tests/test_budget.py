@@ -32,11 +32,7 @@ program nested(x, y, n):
 
 
 def test_budget_caps_raise_typed_errors():
-    budget = Budget(step_cap=10, macrostate_cap=3, antichain_cap=2,
-                    fm_constraint_cap=5)
-    with pytest.raises(ResourceExhausted) as err:
-        budget.tick(11)
-    assert err.value.resource == "steps"
+    budget = Budget(macrostate_cap=3, antichain_cap=2, fm_constraint_cap=5)
     with pytest.raises(ResourceExhausted) as err:
         for _ in range(4):
             budget.charge_macrostates()
@@ -60,7 +56,6 @@ def test_deadline_exceeded_is_resource_exhausted():
 
 def test_unbounded_budget_never_raises():
     budget = Budget()
-    budget.tick(10_000)
     budget.charge_macrostates(10_000)
     budget.check_antichain(10_000)
     budget.charge_fm(10_000)
@@ -69,7 +64,7 @@ def test_unbounded_budget_never_raises():
 
 def test_use_budget_scoping():
     assert current_budget() is None
-    budget = Budget(step_cap=1)
+    budget = Budget()
     with use_budget(budget):
         assert current_budget() is budget
         with use_budget(None):  # the firewall clears the ambient budget

@@ -149,6 +149,7 @@ def test_checkpoint_write_faults_never_flip_verdicts(plan, tmp_path):
         config = AnalysisConfig(timeout=TIMEOUT)
         for attempt in range(2):
             checkpoint = Checkpointer(str(directory), f"chaos-{index}")
+            result = None
             with faults.use_plan(plan):
                 try:
                     result = prove_termination_source(
@@ -161,11 +162,12 @@ def test_checkpoint_write_faults_never_flip_verdicts(plan, tmp_path):
             assert outcome in (expected, "unknown", "error")
             # whatever the injected write crashes left on disk, a
             # restore never seeds unvalidated rounds
-            assert checkpoint.restored_rounds >= 0
-            if checkpoint.rejected is not None:
-                # rejected checkpoints mean a cold start happened --
-                # and the verdict above was still correct
-                assert checkpoint.restored_rounds == 0
+            if result is not None:
+                assert result.stats.restored_rounds >= 0
+                if checkpoint.rejected is not None:
+                    # rejected checkpoints mean a cold start happened --
+                    # and the verdict above was still correct
+                    assert result.stats.restored_rounds == 0
 
 
 def test_checkpoint_write_fault_plans_actually_inject(tmp_path):
@@ -174,12 +176,12 @@ def test_checkpoint_write_fault_plans_actually_inject(tmp_path):
     plan = FaultPlan(seed=0, crash_rate=1.0, sites=("checkpoint.write",))
     checkpoint = Checkpointer(str(tmp_path), "inject-check")
     with faults.use_plan(plan):
-        prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=TIMEOUT),
-                                 checkpoint=checkpoint)
+        result = prove_termination_source(
+            COUNTDOWN, AnalysisConfig(timeout=TIMEOUT), checkpoint=checkpoint)
         injected = faults.injected_counts()
     assert injected.get("checkpoint.write", {}).get("crash", 0) >= 1
-    assert checkpoint.saved == 0
-    assert checkpoint.save_failures >= 1
+    assert result.stats.counter("checkpoint.saves") == 0
+    assert result.stats.counter("checkpoint.save_failures") >= 1
 
 
 def test_worker_site_faults_become_error_rows(tmp_path):
@@ -231,6 +233,7 @@ def test_tampered_library_entries_are_rejected_not_trusted(plan, tmp_path):
         config = AnalysisConfig(timeout=TIMEOUT)
         for attempt in range(2):
             library = ModuleLibrary(path)
+            result = None
             with faults.use_plan(plan):
                 try:
                     result = prove_termination_source(
@@ -242,13 +245,16 @@ def test_tampered_library_entries_are_rejected_not_trusted(plan, tmp_path):
             assert outcome != forbidden, \
                 f"unsound verdict {outcome!r} under {plan!r}"
             assert outcome in (expected, "unknown", "error")
-            assert library.hits == 0  # nothing tampered was ever reused
+            if result is None:
+                continue
+            stats = result.stats
+            assert stats.library_hits == 0  # nothing tampered was ever reused
             if attempt == 0 and outcome == expected == "terminating":
                 # the fault actually fired on every publish attempt
                 assert injected.get("library.publish", {}) \
                                .get("crash", 0) >= 1
-                assert library.published == 0
-                assert library.publish_failures >= 1
+                assert stats.counter("library.published") == 0
+                assert stats.counter("library.publish_failures") >= 1
             if attempt == 1 and path.exists() and outcome == "terminating":
-                assert library.rejected >= 1, \
+                assert stats.counter("library.rejected") >= 1, \
                     "tampered entries must be rejected, not ignored"

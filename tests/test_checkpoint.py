@@ -144,7 +144,7 @@ def test_gba_round_trip_rejects_out_of_range():
 def test_save_is_atomic_and_leaves_no_tmp(tmp_path):
     result, checkpoint = analyze(NESTED, tmp_path)
     assert result.verdict.value == "terminating"
-    assert checkpoint.saved >= 1
+    assert result.stats.counter("checkpoint.saves") >= 1
     assert os.path.exists(checkpoint.path)
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     data = json.loads(open(checkpoint.path, encoding="utf-8").read())
@@ -155,8 +155,7 @@ def test_warm_start_restores_rounds_without_recomputing(tmp_path):
     cold, cp_cold = analyze(NESTED, tmp_path)
     warm, cp_warm = analyze(NESTED, tmp_path)
     assert warm.verdict == cold.verdict
-    assert cp_warm.restored_rounds == len(cold.modules)
-    assert warm.stats.restored_rounds == cp_warm.restored_rounds
+    assert warm.stats.restored_rounds == len(cold.modules)
     # a fully checkpointed run replays with zero fresh refinement rounds
     assert warm.stats.iterations == 0
     assert cp_warm.rejected is None
@@ -175,7 +174,7 @@ def test_torn_checkpoint_rejects_into_correct_cold_start(tmp_path):
         fh.write(text[:len(text) // 2])  # simulate a torn write
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
-    assert cp.restored_rounds == 0
+    assert warm.stats.restored_rounds == 0
     assert "torn or corrupt" in (cp.rejected or "")
     assert warm.stats.iterations > 0  # really recomputed
 
@@ -192,7 +191,7 @@ def test_tampered_certificate_rejects_whole_checkpoint(tmp_path):
         fh.write(json.dumps(data))
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
-    assert cp.restored_rounds == 0
+    assert warm.stats.restored_rounds == 0
     assert cp.rejected and "re-validation" in cp.rejected
 
 
@@ -221,6 +220,24 @@ def test_nonterminating_checkpoint_never_flips_verdict(tmp_path):
     assert warm.verdict == cold.verdict
 
 
+def test_save_with_ambiguous_alphabet_counts_a_failure(tmp_path):
+    """An alphabet whose symbols share a ``str()`` cannot be encoded:
+    the save fails and is counted in the run's metrics."""
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    class Statement:
+        def __str__(self):
+            return "x := x - 1"
+
+    checkpoint = Checkpointer(str(tmp_path), "ambiguous")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        assert checkpoint.save([Statement(), Statement()], []) is False
+    assert registry.counter("checkpoint.save_failures").value == 1
+    assert registry.counter("checkpoint.saves").value == 0
+    assert not os.path.exists(checkpoint.path)
+
+
 # -- the checkpoint.write fault site -------------------------------------------
 
 
@@ -230,13 +247,15 @@ def test_checkpoint_write_fault_degrades_to_no_checkpoint(tmp_path):
         result, checkpoint = analyze(NESTED, tmp_path)
     # the analysis itself is untouched by save failures ...
     assert result.verdict.value == "terminating"
-    assert checkpoint.saved == 0
-    assert checkpoint.save_failures == len(result.modules)
+    assert result.stats.counter("checkpoint.saves") == 0
+    assert result.stats.counter("checkpoint.save_failures") \
+        == len(result.modules)
     # ... and whatever crash artifact the fault left (torn final file /
     # orphaned tmp) must not poison the next run
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
-    assert cp.restored_rounds == 0  # nothing trustworthy to restore
+    # nothing trustworthy to restore
+    assert warm.stats.restored_rounds == 0
 
 
 def test_checkpoint_write_fault_artifacts_match_real_crashes(tmp_path):
@@ -257,7 +276,7 @@ def test_validation_runs_with_faults_suspended(tmp_path):
         warm, cp = analyze(NESTED, tmp_path)
     # honest validation: the genuine checkpoint restores despite the
     # adversarial plan, because the re-check suspends injection
-    assert cp.restored_rounds >= 1
+    assert warm.stats.restored_rounds >= 1
     assert warm.verdict.value in ("terminating", "unknown")
 
 
@@ -331,7 +350,6 @@ def test_sigkill_mid_analysis_then_resume_matches_uninterrupted(tmp_path, k):
     resumed = prove_termination(parse_program(bench.source),
                                 AnalysisConfig(), checkpoint=checkpoint)
     assert checkpoint.rejected is None
-    assert checkpoint.restored_rounds == data["rounds"]
     assert resumed.verdict == reference.verdict
     assert resumed.stats.restored_rounds == data["rounds"]
     # zero recomputation of the restored prefix: fresh rounds make up

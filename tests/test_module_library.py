@@ -14,6 +14,7 @@ from repro.benchgen.scaled import sequential_loops
 from repro.core.api import prove_termination, prove_termination_source
 from repro.core.config import AnalysisConfig
 from repro.core.library import LIBRARY_VERSION, ModuleLibrary, entry_id
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 TIMEOUT = 30.0
 
@@ -104,7 +105,7 @@ def test_alphabet_prefilter_keeps_disjoint_programs_apart(tmp_path):
     # decoded, and the run is simply a cold one.
     assert result.verdict.value == "terminating"
     assert result.stats.library_hits == 0
-    assert library.rejected == 0
+    assert result.stats.counter("library.rejected") == 0
 
 
 def test_dedup_republish_adds_no_rows(tmp_path):
@@ -117,9 +118,12 @@ def test_dedup_republish_adds_no_rows(tmp_path):
     # the same program without the library warm path.
     library = ModuleLibrary(path)
     cold = prove_termination_source(COUNTDOWN, config())
-    for module in cold.modules:
-        library.publish(module, program="countdown")
-    assert library.published == 0  # every record already in the file
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        for module in cold.modules:
+            library.publish(module, program="countdown")
+    # every record already in the file
+    assert registry.counter("library.published").value == 0
     assert path.read_text().splitlines() == lines
 
 
@@ -141,11 +145,12 @@ def test_tampered_certificate_is_rejected_not_believed(tmp_path):
     # synthesis, verdict unchanged.
     assert result.verdict.value == "terminating"
     assert result.stats.library_hits == 0
-    assert library.rejected >= 1
+    assert result.stats.counter("library.rejected") >= 1
     assert library.rejections[0]["reason"].startswith("failed re-validation")
-    summary = library.summary()
-    assert summary["rejected"] == library.rejected
-    assert summary["rejections"]
+    # the row field names the file and the reasons; the count is the
+    # run's counter only
+    assert library.summary() == {"path": str(path),
+                                 "rejections": library.rejections}
 
 
 def test_torn_tail_and_garbage_lines_are_tolerated(tmp_path):
@@ -163,7 +168,8 @@ def test_entries_are_keyed_by_code_version(tmp_path):
     path = tmp_path / "lib.jsonl"
     writer = ModuleLibrary(path, code_version="vA")
     cold = prove_termination_source(COUNTDOWN, config(), library=writer)
-    assert writer.published == cold.stats.iterations > 0
+    assert cold.stats.counter("library.published") \
+        == cold.stats.iterations > 0
 
     other = ModuleLibrary(path, code_version="vB")
     result = prove_termination_source(COUNTDOWN, config(), library=other)
@@ -182,8 +188,8 @@ def test_publish_fault_writes_rejected_tampered_entry(tmp_path):
     first = prove_termination_source(COUNTDOWN, config(fault_plan=plan),
                                      library=poisoned)
     assert first.verdict.value == "terminating"
-    assert poisoned.published == 0
-    assert poisoned.publish_failures > 0
+    assert first.stats.counter("library.published") == 0
+    assert first.stats.counter("library.publish_failures") > 0
     assert path.exists()  # the tampered records landed
 
     library = ModuleLibrary(path)
@@ -193,7 +199,30 @@ def test_publish_fault_writes_rejected_tampered_entry(tmp_path):
     # Definition 3.1 re-check: rejection, never a verdict flip.
     assert second.verdict.value == "terminating"
     assert second.stats.library_hits == 0
-    assert library.rejected >= 1
+    assert second.stats.counter("library.rejected") >= 1
+
+
+def test_publish_with_ambiguous_symbols_counts_a_failure(tmp_path):
+    """Symbols sharing a ``str()`` cannot be encoded: the publish fails
+    and is counted in the run's metrics like any other failure."""
+    from repro.automata.gba import ba
+    from repro.core.module import CertifiedModule
+
+    class Statement:
+        def __str__(self):
+            return "x := x - 1"
+
+    first, second = Statement(), Statement()
+    automaton = ba({first, second},
+                   {("q", first): {"q"}, ("q", second): {"q"}}, ["q"], ["q"])
+    module = CertifiedModule(automaton, ranking=None, certificate={})
+    library = ModuleLibrary(tmp_path / "lib.jsonl")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        assert library.publish(module) is False
+    assert registry.counter("library.publish_failures").value == 1
+    assert registry.counter("library.published").value == 0
+    assert not (tmp_path / "lib.jsonl").exists()
 
 
 # -- the shared-file mechanics --------------------------------------------------
@@ -299,8 +328,20 @@ def test_corpus_run_threads_library_and_emits_events(tmp_path):
 
     row = summary.rows[0]
     assert row["status"] == "terminating"
-    assert row["library"]["hits"] > 0
-    assert row["stats"]["library_hits"] > 0
+    counters = row["stats"]["metrics"]["counters"]
+    assert counters["library.hits"] > 0
+    assert row["stats"]["library_hits"] == counters["library.hits"]
+    # the row's library field carries no counts, only the file
+    assert row["library"] == {"path": str(library_path)}
     events = [json.loads(line)
               for line in events_path.read_text().splitlines()]
     assert any(e["type"] == "library.hit" for e in events)
+    # every library event's count is the same row's counter
+    counter_of = {"library.hit": "library.hits",
+                  "library.miss": "library.misses",
+                  "library.published": "library.published",
+                  "library.rejected": "library.rejected"}
+    for event in events:
+        if event["type"] in counter_of:
+            assert event["key"] == row["key"]
+            assert event["count"] == counters[counter_of[event["type"]]]

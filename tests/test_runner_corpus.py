@@ -292,6 +292,12 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     saved = [e for e in tel.events if e["type"] == "checkpoint.saved"]
     assert len(saved) == 1
     assert saved[0]["rounds"] >= 1
+    # the event's number is the row's own counter, the one place the
+    # worker counted it; the row's checkpoint field carries no counts
+    cold = next(r for r in summary.rows if r["key"] == saved[0]["key"])
+    assert saved[0]["rounds"] == \
+        cold["stats"]["metrics"]["counters"]["checkpoint.saves"]
+    assert cold["checkpoint"] == {"path": saved[0]["path"]}
 
     # a fresh run (fresh store) over the same corpus warm-starts the
     # checkpointed job and surfaces it as a checkpoint.restored event
@@ -305,8 +311,25 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     assert len(restored) == 1
     assert restored[0]["rounds"] >= 1
     warm = next(r for r in again.rows if r["status"] == "terminating")
-    assert warm["checkpoint"]["restored_rounds"] >= 1
-    assert warm["stats"]["restored_rounds"] >= 1
+    assert warm["key"] == restored[0]["key"]
+    assert restored[0]["rounds"] == warm["stats"]["restored_rounds"] == \
+        warm["stats"]["metrics"]["counters"]["checkpoint.rounds_restored"]
+
+    # a torn checkpoint surfaces as checkpoint.rejected, its reason
+    # taken from the same row's checkpoint.rejected incident
+    files[0].write_text(files[0].read_text()[:20])
+    tel3 = Telemetry()
+    third = run_corpus(tiny_manifest(), tmp_path / "results3.jsonl",
+                       pool=inprocess_pool(telemetry=tel3),
+                       checkpoint_dir=ckpt)
+    rejected = [e for e in tel3.events if e["type"] == "checkpoint.rejected"]
+    assert len(rejected) == 1
+    cold_again = next(r for r in third.rows
+                      if r["key"] == rejected[0]["key"])
+    incidents = [i for i in cold_again["stats"]["incidents"]
+                 if i["kind"] == "checkpoint.rejected"]
+    assert [rejected[0]["reason"]] == [i["detail"] for i in incidents]
+    assert "torn or corrupt" in rejected[0]["reason"]
 
 
 # -- reporting ------------------------------------------------------------------
