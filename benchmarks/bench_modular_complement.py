@@ -38,9 +38,10 @@ from repro.automata.complement.dispatch import (ComplementKind, classify_kind,
 from repro.automata.complement.modular import condensation
 from repro.automata.complement.rank_based import RankComplement
 from repro.automata.difference import difference
-from repro.automata.gba import StateLimitExceeded, ba, materialize
+from repro.automata.gba import ba, materialize
 from repro.automata.ops import complete
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import ResourceExhausted
 
 SIGMA = ("a", "b")
 
@@ -113,7 +114,7 @@ def measure(auto):
     try:
         rank = materialize(RankComplement(auto), limit=RANK_CAP)
         rank_states, capped = len(rank.states), False
-    except StateLimitExceeded:
+    except ResourceExhausted:
         rank, rank_states, capped = None, RANK_CAP, True
     seconds_rank = time.perf_counter() - start
 

@@ -17,10 +17,11 @@ import time
 from conftest import TIMEOUT
 
 from repro.automata.complement import ComplementKind
-from repro.automata.emptiness import ExplorationLimit, remove_useless
+from repro.automata.emptiness import remove_useless
 from repro.automata.complement.dispatch import implicit_complement
 from repro.automata.gba import ba
 from repro.core.api import prove_termination
+from repro.core.budget import Budget, ResourceExhausted, use_budget
 from repro.core.config import AnalysisConfig
 
 
@@ -41,8 +42,9 @@ def random_general_ba(seed: int, n: int = 4):
 def complement_cost(auto, kind: ComplementKind, budget: int = 8_000):
     implicit, _ = implicit_complement(auto, kind=kind)
     try:
-        _, stats = remove_useless(implicit, state_limit=budget)
-    except ExplorationLimit:
+        with use_budget(Budget(difference_state_cap=budget)):
+            _, stats = remove_useless(implicit)
+    except ResourceExhausted:
         return budget, True
     return stats.explored_states, False
 

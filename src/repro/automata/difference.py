@@ -291,14 +291,14 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                modular: bool = False,
                cache: bool = True,
                simulation_reduction: bool = True,
-               kind: ComplementKind | None = None,
-               state_limit: int | None = None) -> DifferenceResult:
+               kind: ComplementKind | None = None) -> DifferenceResult:
     """Compute ``L(minuend) \\ L(subtrahend)`` as a trimmed GBA.
 
     ``minuend`` may be implicit; ``subtrahend`` must be an explicit BA
     (the certified-module automaton).  ``lazy``/``subsumption`` select
     the Section 5/6 optimizations; ``kind`` pins the complementation
-    procedure.  ``state_limit`` bounds the product exploration.
+    procedure.  The scoped budget's ``difference_state_cap`` bounds the
+    product exploration.
 
     ``modular`` lets general subtrahends with a genuinely mixed SCC
     condensation go through the per-SCC mix-and-match decomposition
@@ -393,8 +393,7 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                     stats.explored_states)
 
             try:
-                useful, stats = remove_useless(product, oracle=oracle,
-                                               state_limit=state_limit)
+                useful, stats = remove_useless(product, oracle=oracle)
             except ResourceExhausted as exc:  # includes DeadlineExceeded
                 # A blown budget or deadline must still account its
                 # partial exploration: the degradation ladder retries

@@ -99,29 +99,28 @@ class _Frame:
 def remove_useless(auto: ImplicitGBA, *,
                    oracle: EmptyOracle | None = None,
                    on_transition: Callable[[State, Symbol, State], None] | None = None,
-                   state_limit: int | None = None,
                    ) -> tuple[GBA, RemovalStats]:
     """Materialize the useful part of an implicit GBA (Algorithm 1).
 
     Returns ``(A', stats)`` where every state of ``A'`` has a nonempty
     language; ``L(A') = L(A)`` and ``A'`` is empty iff ``L(A)`` is.
     ``oracle`` replaces the exact ``emp`` set (subsumption pruning);
-    ``on_transition`` observes every explored edge; ``state_limit``
-    raises :class:`ExplorationLimit` when the traversal grows too big.
-    The scoped budget's deadline (:func:`~repro.core.budget.use_budget`)
-    is polled every 256 pushed states and every 256 explored edges.
+    ``on_transition`` observes every explored edge.  The scoped budget
+    (:func:`~repro.core.budget.use_budget`) bounds the traversal: more
+    than its ``difference_state_cap`` pushed states raise
+    :class:`~repro.core.budget.ResourceExhausted` with resource
+    ``"difference-states"``, and its deadline is polled every 256
+    pushed states and every 256 explored edges.
 
     With a tracer installed, the traversal runs inside an ``emptiness``
     span stamped with the exploration counters.
     """
     tracer = get_tracer()
     if not tracer.enabled:
-        return _remove_useless(auto, oracle=oracle, on_transition=on_transition,
-                               state_limit=state_limit)
+        return _remove_useless(auto, oracle=oracle, on_transition=on_transition)
     with tracer.span("emptiness") as span:
         result, stats = _remove_useless(auto, oracle=oracle,
-                                        on_transition=on_transition,
-                                        state_limit=state_limit)
+                                        on_transition=on_transition)
         span.set(explored_states=stats.explored_states,
                  explored_edges=stats.explored_edges,
                  useful_states=stats.useful_states,
@@ -132,10 +131,10 @@ def remove_useless(auto: ImplicitGBA, *,
 def _remove_useless(auto: ImplicitGBA, *,
                     oracle: EmptyOracle | None = None,
                     on_transition: Callable[[State, Symbol, State], None] | None = None,
-                    state_limit: int | None = None,
                     ) -> tuple[GBA, RemovalStats]:
     budget = current_budget()
     deadline = budget.deadline if budget is not None else None
+    state_cap = budget.difference_state_cap if budget is not None else None
     oracle = oracle if oracle is not None else EmptyOracle()
     stats = RemovalStats()
     all_conditions = frozenset(range(auto.acceptance_count))
@@ -175,8 +174,11 @@ def _remove_useless(auto: ImplicitGBA, *,
             counter[0] += 1
             dfsnum[state] = counter[0]
             stats.explored_states += 1
-            if state_limit is not None and stats.explored_states > state_limit:
-                raise ExplorationLimit(state_limit)
+            if state_cap is not None and stats.explored_states > state_cap:
+                raise ResourceExhausted(
+                    "difference-states",
+                    f"exploration limit of {state_cap} states exceeded",
+                    state_cap)
             if (deadline is not None and stats.explored_states % 256 == 0
                     and time.perf_counter() > deadline):
                 raise DeadlineExceeded("emptiness", deadline)
@@ -290,21 +292,6 @@ def _remove_useless(auto: ImplicitGBA, *,
                  acc, states=useful)
     stats.useful_states = len(useful)
     return result, stats
-
-
-class ExplorationLimit(ResourceExhausted):
-    """Raised when ``state_limit`` is exceeded during Algorithm 1.
-
-    Part of the :class:`~repro.core.budget.ReproError` taxonomy as a
-    :class:`~repro.core.budget.ResourceExhausted` with resource
-    ``"difference-states"`` -- the refinement loop answers it by
-    falling down the degradation ladder.
-    """
-
-    def __init__(self, limit: int):
-        super().__init__("difference-states",
-                         f"exploration limit of {limit} states exceeded",
-                         limit)
 
 
 class SearchInvariantError(RuntimeError):

@@ -21,6 +21,8 @@ from collections import deque
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Protocol, runtime_checkable
 
+from repro.core.budget import ResourceExhausted
+
 State = Hashable
 Symbol = Hashable
 
@@ -288,7 +290,8 @@ def materialize(auto: ImplicitGBA, *, limit: int | None = None) -> GBA:
     """Breadth-first materialization of the reachable part of an implicit GBA.
 
     ``limit`` bounds the number of explored states; exceeding it raises
-    :class:`StateLimitExceeded` (the budget guard of the refinement loop).
+    :class:`~repro.core.budget.ResourceExhausted` with resource
+    ``"states"``.
     """
     initial = list(auto.initial_states())
     seen: set[State] = set(initial)
@@ -304,18 +307,12 @@ def materialize(auto: ImplicitGBA, *, limit: int | None = None) -> GBA:
                 if target not in seen:
                     seen.add(target)
                     if limit is not None and len(seen) > limit:
-                        raise StateLimitExceeded(limit)
+                        raise ResourceExhausted(
+                            "states", f"state limit of {limit} exceeded",
+                            limit)
                     queue.append(target)
     acc: list[set[State]] = [set() for _ in range(auto.acceptance_count)]
     for state in seen:
         for j in auto.accepting_sets_of(state):
             acc[j].add(state)
     return GBA(auto.alphabet, transitions, initial, acc, states=seen)
-
-
-class StateLimitExceeded(RuntimeError):
-    """The exploration budget of :func:`materialize` was exhausted."""
-
-    def __init__(self, limit: int):
-        super().__init__(f"state limit of {limit} exceeded")
-        self.limit = limit

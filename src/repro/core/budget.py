@@ -14,20 +14,20 @@ them one vocabulary:
   ladder (state/constraint blowups) and giving up (deadline),
 - :class:`DeadlineExceeded` is the wall-clock case -- once the deadline
   passed there is no cheaper stage worth trying,
-- :class:`Budget` bundles the deadline with the cumulative caps
-  (macro-states, antichain size, FM constraints, simulation pairs) and
-  counts consumption against them,
+- :class:`Budget` bundles the deadline with every cap: the cumulative
+  caps (macro-states, antichain size, FM constraints, simulation
+  pairs), whose consumption it counts, and the per-call state caps of
+  one difference exploration and one powerset stage,
 - :class:`Capped` hands a cap overrun to a caller that can degrade,
   while a deadline propagates.
 
-The deadline reaches every layer only through the scoped budget:
+Every cap reaches every layer only through the scoped budget:
 :func:`use_budget` installs the engine's budget in a module global,
 mirroring the registry scoping of :mod:`repro.obs.metrics`, and no
-signature carries a ``deadline``.  Per-call state caps
-(``difference_state_limit``, ``stage_state_budget``) stay parameters;
-the :class:`Budget` caps count across the whole run.  All guards are
-nil-checked (``current_budget() is None`` outside an engine run), so
-standalone library use pays one attribute load per checkpoint.
+signature carries a ``deadline`` or a cap.  All guards are nil-checked
+(``current_budget() is None`` outside an engine run, where every cap
+is off), so standalone library use pays one attribute load per
+checkpoint.
 
 This module must stay a leaf (standard library imports only): it is
 imported from :mod:`repro.logic` and :mod:`repro.automata`, which load
@@ -50,8 +50,9 @@ class ResourceExhausted(ReproError):
 
     ``resource`` names the cap (``"deadline"``, ``"difference-states"``,
     ``"macrostates"``, ``"antichain"``, ``"fm-constraints"``,
-    ``"stage-states"``, ``"simulation"``); the refinement loop keys its
-    recovery on it.
+    ``"simulation"``, and ``"states"`` for an explicitly limited
+    :func:`~repro.automata.gba.materialize`); the refinement loop keys
+    its recovery on it.
     """
 
     def __init__(self, resource: str, detail: str = "",
@@ -75,15 +76,22 @@ class DeadlineExceeded(ResourceExhausted):
 class Budget:
     """Caps for one analysis run, with consumption counters.
 
-    ``deadline`` is an absolute :func:`time.perf_counter` value; the
-    remaining caps are cumulative per run.  ``None`` disables a cap.
-    Checkpoints raise :class:`ResourceExhausted` (or its
-    :class:`DeadlineExceeded` subclass); callers that can degrade catch
-    at round boundaries, everyone else lets it propagate.
+    ``deadline`` is an absolute :func:`time.perf_counter` value.  The
+    macro-state, antichain, FM and simulation caps are cumulative per
+    run.  ``difference_state_cap`` bounds the states one Algorithm 1
+    exploration may push and ``stage_state_cap`` the states one
+    powerset stage may build (that stage then yields no module); each
+    call reads its cap on entry and keeps its own count, so which
+    rounds degrade never depends on how many came before.  ``None``
+    disables a cap.  Checkpoints raise
+    :class:`ResourceExhausted` (or its :class:`DeadlineExceeded`
+    subclass); callers that can degrade catch at round boundaries,
+    everyone else lets it propagate.
     """
 
     __slots__ = ("deadline", "macrostate_cap", "antichain_cap",
-                 "fm_constraint_cap", "simulation_cap", "macrostates",
+                 "fm_constraint_cap", "simulation_cap",
+                 "difference_state_cap", "stage_state_cap", "macrostates",
                  "fm_checks", "simulation_pairs")
 
     #: Deadline polling stride for the FM checkpoint: one
@@ -94,12 +102,16 @@ class Budget:
                  macrostate_cap: int | None = None,
                  antichain_cap: int | None = None,
                  fm_constraint_cap: int | None = None,
-                 simulation_cap: int | None = None):
+                 simulation_cap: int | None = None,
+                 difference_state_cap: int | None = None,
+                 stage_state_cap: int | None = None):
         self.deadline = deadline
         self.macrostate_cap = macrostate_cap
         self.antichain_cap = antichain_cap
         self.fm_constraint_cap = fm_constraint_cap
         self.simulation_cap = simulation_cap
+        self.difference_state_cap = difference_state_cap
+        self.stage_state_cap = stage_state_cap
         self.macrostates = 0
         self.fm_checks = 0
         self.simulation_pairs = 0

@@ -16,14 +16,15 @@ until the remainder is empty (TERMINATING), a nontermination witness is
 found (NONTERMINATING), or a budget is exhausted (UNKNOWN).
 
 Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
-(wall-clock deadline plus macrostate/antichain/FM caps from the
-configuration) scoped via ``use_budget``, the only route by which the
-deadline reaches the solver and automata layers.  A state or constraint
-blowup first walks the *degradation ladder* -- the same proof
-re-generalized at structurally cheaper stages -- and only becomes
-UNKNOWN when every rung blows up too; each fallback is recorded as an
-``Incident`` on the run's stats.  A deadline, wherever it hits, reaches
-the one handler at the end of the loop and ends the run UNKNOWN/timeout.
+(wall-clock deadline plus every cap of the configuration, the per-call
+difference and powerset state caps included) scoped via ``use_budget``,
+the only route by which a deadline or cap reaches the solver, stage and
+automata layers.  A state or constraint blowup first walks the
+*degradation ladder* -- the same proof re-generalized at structurally
+cheaper stages -- and only becomes UNKNOWN when every rung blows up
+too; each fallback is recorded as an ``Incident`` on the run's stats.
+A deadline, wherever it hits, reaches the one handler at the end of the
+loop and ends the run UNKNOWN/timeout.
 
 Each run is observed end to end: an ``analysis`` span wraps the loop,
 every iteration gets a ``round`` span (with ``lasso-search``,
@@ -148,7 +149,9 @@ class RefinementEngine:
                         macrostate_cap=config.macrostate_cap,
                         antichain_cap=config.antichain_cap,
                         fm_constraint_cap=config.fm_constraint_cap,
-                        simulation_cap=config.simulation_cap)
+                        simulation_cap=config.simulation_cap,
+                        difference_state_cap=config.difference_state_limit,
+                        stage_state_cap=config.stage_state_budget)
         with obs_metrics.use_registry(registry), use_budget(budget):
             with tracer.span("analysis", program=self._cfg.name,
                              config=config.describe()) as span:
@@ -205,10 +208,8 @@ class RefinementEngine:
             """End the run on a cap no cheaper stage could dodge."""
             note("budget.exhausted", component,
                  f"{exc.resource}: {exc.detail}", index)
-            reason = ("difference state limit"
-                      if exc.resource == "difference-states"
-                      else f"resource exhausted: {exc.resource}")
-            return finish(Verdict.UNKNOWN, reason=reason)
+            return finish(Verdict.UNKNOWN,
+                          reason=f"resource exhausted: {exc.resource}")
 
         pinned_kind = (ComplementKind(config.complement_kind)
                        if config.complement_kind else None)
@@ -230,8 +231,7 @@ class RefinementEngine:
                 modular=config.modular_complement,
                 kind=module_kind,
                 cache=config.kernel_cache,
-                simulation_reduction=config.simulation_reduction,
-                state_limit=config.difference_state_limit)
+                simulation_reduction=config.simulation_reduction)
 
         def degrade(failed: CertifiedModule, proof, exc: ResourceExhausted,
                     index: int):
@@ -244,10 +244,8 @@ class RefinementEngine:
                 if stage.value in tried:
                     continue
                 with Capped() as cap:
-                    candidate = generalize(
-                        proof, (stage,), alphabet,
-                        state_budget=config.stage_state_budget,
-                        interpolants=False)
+                    candidate = generalize(proof, (stage,), alphabet,
+                                           interpolants=False)
                 if cap.overrun is not None:
                     last = cap.overrun
                     continue
@@ -414,7 +412,6 @@ class RefinementEngine:
                             tracer.span("generalize") as gen_span:
                         module = generalize(
                             proof, config.stages, alphabet,
-                            state_budget=config.stage_state_budget,
                             interpolants=config.interpolant_modules)
                         gen_span.set(stage=module.stage,
                                      states=len(module.automaton.states))
@@ -430,7 +427,6 @@ class RefinementEngine:
                         with Capped() as cap:
                             module = generalize(
                                 proof, (Stage.FINITE, Stage.LASSO), alphabet,
-                                state_budget=config.stage_state_budget,
                                 interpolants=False)
                         if cap.overrun is not None:
                             return exhausted("generalize", cap.overrun, index)

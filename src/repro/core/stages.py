@@ -17,9 +17,10 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from repro.automata.gba import State, ba
-from repro.core.budget import ResourceExhausted
+from repro.core.budget import current_budget
 from repro.core.module import CertifiedModule
 from repro.logic.predicates import Pred
+from repro.obs import metrics as _metrics
 from repro.program.statements import Statement, hoare_valid
 from repro.ranking.certificate import RankCertificate, build_certificate
 from repro.ranking.lasso import Lasso
@@ -42,13 +43,6 @@ class Stage(enum.Enum):
 #: a cheaper powerset), and the refinement loop's degradation logic
 #: keys off this being off-ladder (see ``ladder_tail``).
 INTERPOLANT_STAGE = "interp"
-
-
-class StageBlowup(ResourceExhausted):
-    """A powerset-based stage exceeded its state budget."""
-
-    def __init__(self, detail: str = ""):
-        super().__init__("stage-states", detail)
 
 
 # -- stage 0: the initial certified lasso module --------------------------------
@@ -138,13 +132,14 @@ def build_finite_module(proof: LassoProof,
 class _PowersetBuilder:
     """Shared delta-wedge machinery of Definitions 3.2 / Section 3.1.4."""
 
-    def __init__(self, base: CertifiedModule, state_budget: int):
+    def __init__(self, base: CertifiedModule):
         self._base = base
         self._accepting = base.automaton.accepting
         self._all_states = sorted(base.automaton.states, key=repr)
         self._cert = base.certificate
         self._ranking = base.ranking
-        self._budget = state_budget
+        budget = current_budget()
+        self._left = budget.stage_state_cap if budget is not None else None
         self._conj_cache: dict[frozenset, Pred] = {}
         self._wedge_cache: dict[tuple[frozenset, Statement], frozenset] = {}
 
@@ -196,33 +191,37 @@ class _PowersetBuilder:
         """The additional stage-3 successor: ``delta_and \\ {qf}``."""
         return self.delta_wedge(states, stmt) - self._accepting
 
-    def charge(self, count: int) -> None:
-        self._budget -= count
-        if self._budget < 0:
-            raise StageBlowup("powerset stage exceeded its state budget")
+    def admit(self) -> bool:
+        """Count one fresh powerset state; False once the scoped
+        budget's ``stage_state_cap``, read when the builder was made,
+        is spent (counted as ``stages.state_cap_hits``)."""
+        if self._left is None:
+            return True
+        self._left -= 1
+        if self._left < 0:
+            _metrics.inc("stages.state_cap_hits")
+            return False
+        return True
 
 
-def build_deterministic_module(base: CertifiedModule, *,
-                               state_budget: int = 4096,
-                               ) -> CertifiedModule | None:
-    """``M_det`` (Definition 3.2): the deterministic powerset module."""
-    builder = _PowersetBuilder(base, state_budget)
+def build_deterministic_module(base: CertifiedModule) -> CertifiedModule | None:
+    """``M_det`` (Definition 3.2): the deterministic powerset module, or
+    ``None`` when it outgrows the budget's ``stage_state_cap``."""
+    builder = _PowersetBuilder(base)
     start = frozenset(base.automaton.initial_states())
     transitions: dict[tuple[State, Statement], set[State]] = {}
     seen: set[frozenset] = {start}
     queue: deque[frozenset] = deque([start])
-    try:
-        while queue:
-            current = queue.popleft()
-            for stmt in sorted(builder.alphabet, key=str):
-                target = builder.det_successor(current, stmt)
-                transitions.setdefault((current, stmt), set()).add(target)
-                if target not in seen:
-                    builder.charge(1)
-                    seen.add(target)
-                    queue.append(target)
-    except StageBlowup:
-        return None
+    while queue:
+        current = queue.popleft()
+        for stmt in sorted(builder.alphabet, key=str):
+            target = builder.det_successor(current, stmt)
+            transitions.setdefault((current, stmt), set()).add(target)
+            if target not in seen:
+                if not builder.admit():
+                    return None
+                seen.add(target)
+                queue.append(target)
     accepting = {q for q in seen if builder.is_accepting_state(q)}
     automaton = ba(builder.alphabet, transitions, [start], accepting,
                    states=seen)
@@ -232,40 +231,37 @@ def build_deterministic_module(base: CertifiedModule, *,
                            source_word=base.source_word)
 
 
-def build_semideterministic_module(base: CertifiedModule, *,
-                                   state_budget: int = 4096,
-                                   ) -> CertifiedModule | None:
+def build_semideterministic_module(base: CertifiedModule) -> CertifiedModule | None:
     """``M_semi`` (Section 3.1.4): ``M_det`` enriched with nondeterministic
-    stay-in-the-stem successors; the result is a normalized SDBA."""
-    builder = _PowersetBuilder(base, state_budget)
+    stay-in-the-stem successors; the result is a normalized SDBA, or
+    ``None`` when it outgrows the budget's ``stage_state_cap``."""
+    builder = _PowersetBuilder(base)
     start: tuple[frozenset, str] = (frozenset(base.automaton.initial_states()), "n")
     transitions: dict[tuple[State, Statement], set[State]] = {}
     seen: set[tuple[frozenset, str]] = {start}
     queue: deque[tuple[frozenset, str]] = deque([start])
-    try:
-        while queue:
-            current = queue.popleft()
-            states, phase = current
-            for stmt in sorted(builder.alphabet, key=str):
-                det_target = builder.det_successor(states, stmt)
-                targets: set[tuple[frozenset, str]] = set()
-                if phase == "d":
+    while queue:
+        current = queue.popleft()
+        states, phase = current
+        for stmt in sorted(builder.alphabet, key=str):
+            det_target = builder.det_successor(states, stmt)
+            targets: set[tuple[frozenset, str]] = set()
+            if phase == "d":
+                targets.add((det_target, "d"))
+            else:
+                wedge = builder.delta_wedge(states, stmt)
+                if builder.has_accepting(wedge):
                     targets.add((det_target, "d"))
+                    targets.add((builder.nondet_successor(states, stmt), "n"))
                 else:
-                    wedge = builder.delta_wedge(states, stmt)
-                    if builder.has_accepting(wedge):
-                        targets.add((det_target, "d"))
-                        targets.add((builder.nondet_successor(states, stmt), "n"))
-                    else:
-                        targets.add((det_target, "n"))
-                transitions.setdefault((current, stmt), set()).update(targets)
-                for target in targets:
-                    if target not in seen:
-                        builder.charge(1)
-                        seen.add(target)
-                        queue.append(target)
-    except StageBlowup:
-        return None
+                    targets.add((det_target, "n"))
+            transitions.setdefault((current, stmt), set()).update(targets)
+            for target in targets:
+                if target not in seen:
+                    if not builder.admit():
+                        return None
+                    seen.add(target)
+                    queue.append(target)
     accepting = {(q, phase) for (q, phase) in seen
                  if phase == "d" and builder.is_accepting_state(q)}
     automaton = ba(builder.alphabet, transitions, [start], accepting,
@@ -331,18 +327,15 @@ def _rotation_proofs(proof: LassoProof) -> Iterable[LassoProof]:
 
 def _build_stage(stage: Stage, proof: LassoProof,
                  lasso_module: CertifiedModule,
-                 program_alphabet: Iterable[Statement],
-                 state_budget: int) -> CertifiedModule | None:
+                 program_alphabet: Iterable[Statement]) -> CertifiedModule | None:
     if stage is Stage.LASSO:
         return lasso_module
     if stage is Stage.FINITE:
         return build_finite_module(proof, program_alphabet)
     if stage is Stage.DETERMINISTIC:
-        return build_deterministic_module(lasso_module,
-                                          state_budget=state_budget)
+        return build_deterministic_module(lasso_module)
     if stage is Stage.SEMIDET:
-        return build_semideterministic_module(lasso_module,
-                                              state_budget=state_budget)
+        return build_semideterministic_module(lasso_module)
     if stage is Stage.NONDET:
         return build_nondeterministic_module(lasso_module)
     raise ValueError(f"unknown stage {stage!r}")
@@ -352,7 +345,6 @@ def generalize(proof: LassoProof,
                sequence: Sequence[Stage],
                program_alphabet: Iterable[Statement],
                *,
-               state_budget: int = 4096,
                rotate: bool = True,
                interpolants: bool = False) -> CertifiedModule:
     """Run the multi-stage generalization (Section 3.1).
@@ -376,8 +368,7 @@ def generalize(proof: LassoProof,
         # equal-interpolant positions merging into loops; an unmerged
         # chain only adds powerset cost, so fall through in that case.
         if len(base.automaton.states) < positions:
-            module = build_semideterministic_module(base,
-                                                    state_budget=state_budget)
+            module = build_semideterministic_module(base)
             if module is not None and module.language_contains(word):
                 module.stage = INTERPOLANT_STAGE
                 return module
@@ -394,13 +385,12 @@ def generalize(proof: LassoProof,
             base_module = lasso_module
         for stage in strong:
             module = _build_stage(stage, candidate, lasso_module,
-                                  program_alphabet, state_budget)
+                                  program_alphabet)
             if module is not None and module.language_contains(word):
                 return module
     assert base_module is not None
     for stage in weak:
-        module = _build_stage(stage, proof, base_module,
-                              program_alphabet, state_budget)
+        module = _build_stage(stage, proof, base_module, program_alphabet)
         if module is not None and module.language_contains(word):
             return module
     return base_module

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.automata.gba import GBA, StateLimitExceeded, ba, materialize
+from repro.automata.gba import GBA, ba, materialize
 from repro.automata.ops import (SINK, ProductGBA, complete, degeneralize,
                                 intersect, reachable_states, restrict, trim,
                                 union)
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import ReproError, ResourceExhausted
 
 SIGMA = frozenset({"a", "b"})
 
@@ -76,8 +77,10 @@ def test_materialize_equals_explicit():
 
 def test_materialize_limit():
     auto = simple_ba()
-    with pytest.raises(StateLimitExceeded):
+    with pytest.raises(ResourceExhausted) as err:
         materialize(auto, limit=1)
+    assert isinstance(err.value, ReproError)
+    assert err.value.resource == "states" and err.value.limit == 1
 
 
 # -- words ------------------------------------------------------------------------

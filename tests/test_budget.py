@@ -109,6 +109,34 @@ def test_degradation_incidents_are_counted_in_metrics():
         assert counters.get("budget.degradations", 0) >= 1
 
 
+def test_difference_state_cap_walks_the_ladder_then_gives_up():
+    """The per-call difference cap reaches Algorithm 1 through the run's
+    budget: each subtraction on the ladder blows it, then the run ends
+    on the named resource."""
+    config = AnalysisConfig(difference_state_limit=1, timeout=10.0)
+    result = prove_termination_source(COUNTDOWN, config)
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.reason == "resource exhausted: difference-states"
+    kinds = [i.kind for i in result.stats.incidents]
+    assert kinds == ["budget.degraded", "budget.degraded", "budget.exhausted"]
+    assert result.stats.incidents[-1].detail.startswith("difference-states:")
+
+
+@pytest.mark.parametrize("source, stages", [
+    (COUNTDOWN, {"lasso"}),
+    (NESTED, {"finite", "lasso"}),
+])
+def test_stage_state_cap_skips_powerset_stages(source, stages):
+    """A zero powerset cap leaves no det/semi module, yet the proof
+    still goes through on the cheap stages and every skipped stage is
+    counted."""
+    config = AnalysisConfig(stage_state_budget=0, timeout=30.0)
+    result = prove_termination_source(source, config)
+    assert result.verdict is Verdict.TERMINATING
+    assert {m.stage for m in result.modules} == stages
+    assert result.stats.metrics["counters"]["stages.state_cap_hits"] >= 1
+
+
 def test_timeout_still_reports_timeout():
     config = AnalysisConfig(timeout=0.0)
     result = prove_termination_source(NESTED, config)

@@ -204,18 +204,19 @@ def test_oracle_non_macro_states_fall_back_to_exact():
 
 
 def test_blown_state_limit_still_registers_partial_effort():
-    """Regression: a difference aborted by ``state_limit`` used to
+    """Regression: a difference aborted by its state cap used to
     skip counter registration entirely, so a corpus whose every round
     degraded reported ``difference.explored_states == 0`` -- partial
     exploration must always be accounted."""
-    from repro.core.budget import ResourceExhausted
+    from repro.core.budget import Budget, ResourceExhausted, use_budget
     from repro.obs.metrics import MetricsRegistry, use_registry
 
     minuend = random_ba(1, n=5)
     subtrahend = random_ba(2, n=4)
-    with use_registry(MetricsRegistry()) as registry:
+    with use_registry(MetricsRegistry()) as registry, \
+            use_budget(Budget(difference_state_cap=1)):
         with pytest.raises(ResourceExhausted) as err:
-            difference(minuend, subtrahend, state_limit=1)
+            difference(minuend, subtrahend)
         counters = registry.snapshot()["counters"]
     assert err.value.resource == "difference-states"
     assert counters.get("difference.explored_states", 0) >= 1

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.emptiness import (EmptyOracle, ExplorationLimit,
-                                      find_accepting_lasso, is_empty,
-                                      is_empty_naive, remove_useless)
+from repro.automata.emptiness import (EmptyOracle, find_accepting_lasso,
+                                      is_empty, is_empty_naive,
+                                      remove_useless)
 from repro.automata.gba import GBA, ba
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import Budget, ResourceExhausted, use_budget
 
 SIGMA = ("a", "b")
 
@@ -70,8 +71,20 @@ def test_state_limit():
     auto = ba(set(SIGMA),
               {(i, "a"): {i + 1} for i in range(100)} | {(100, "a"): {100}},
               [0], [100])
-    with pytest.raises(ExplorationLimit):
-        remove_useless(auto, state_limit=10)
+    with use_budget(Budget(difference_state_cap=10)):
+        with pytest.raises(ResourceExhausted) as err:
+            remove_useless(auto)
+    assert err.value.resource == "difference-states"
+    assert err.value.limit == 10
+    # Per call, not per run: each exploration of 8 states fits the cap
+    # on its own, however many ran before; outside a run there is no cap.
+    small = ba(set(SIGMA),
+               {(i, "a"): {i + 1} for i in range(7)} | {(7, "a"): {7}},
+               [0], [7])
+    with use_budget(Budget(difference_state_cap=10)):
+        assert not is_empty(small)
+        assert not is_empty(small)
+    assert not is_empty(auto)
 
 
 def test_oracle_prepopulated():

@@ -5,6 +5,7 @@ import pytest
 from repro.automata.classify import (is_deterministic, is_finite_trace,
                                      is_normalized_sdba, is_semideterministic)
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import Budget, use_budget
 from repro.core.config import StageSequence
 from repro.core.module import validate_module
 from repro.core.stages import (Stage, build_deterministic_module,
@@ -14,6 +15,7 @@ from repro.core.stages import (Stage, build_deterministic_module,
 from repro.logic.atoms import atom_gt, atom_lt
 from repro.logic.linconj import conj
 from repro.logic.terms import var
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.program.statements import Assign, Assume
 from repro.ranking.certificate import build_certificate
 from repro.ranking.lasso import Lasso
@@ -101,7 +103,13 @@ def test_deterministic_module_is_dba_and_valid():
 
 def test_deterministic_module_respects_budget():
     base = build_lasso_module(sort_proof())
-    assert build_deterministic_module(base, state_budget=0) is None
+    with use_registry(MetricsRegistry()) as registry:
+        with use_budget(Budget(stage_state_cap=0)):
+            assert build_deterministic_module(base) is None
+            assert build_semideterministic_module(base) is None
+        # outside a run the cap is off
+        assert build_deterministic_module(base) is not None
+    assert registry.snapshot()["counters"]["stages.state_cap_hits"] == 2
 
 
 # -- stage 3 ---------------------------------------------------------------------------
