@@ -3,7 +3,8 @@
 The stage-4 ``M_nondet`` modules are general BAs.  The paper complements
 them directly (the expensive operation the whole multi-stage approach
 avoids); semi-determinization + NCSB is the alternative route this
-library also offers (``AnalysisConfig(via_semidet=True)``).
+library also offers (``AnalysisConfig(complement_kind="semidet+ncsb")``,
+which pins it for every module subtraction).
 
 This bench complements random general BAs both ways and compares the
 states constructed and single-stage analysis outcomes.
@@ -88,7 +89,8 @@ def test_single_stage_with_semidet_route():
     """Single-stage analysis with the alternative route still sound."""
     from repro.benchgen import suite_by_name
     sort = suite_by_name()["sort"]
-    config = AnalysisConfig.single_stage(timeout=TIMEOUT, via_semidet=True)
+    config = AnalysisConfig.single_stage(timeout=TIMEOUT,
+                                         complement_kind="semidet+ncsb")
     result = prove_termination(sort.parse(), config)
     assert result.verdict.value in ("terminating", "unknown")
     baseline = prove_termination(sort.parse(),

@@ -1,7 +1,7 @@
 """Simulation-based reduction ablation: quotienting + coarse antichain.
 
-Ablation for the reduction layer of the difference pipeline
-(``difference(..., simulation_reduction=...)``): subtrahend modules are
+Ablation for the reduction layer of the difference pipeline: subtrahend
+modules are
 quotiented by (part-respecting) direct-simulation equivalence before
 complementation, and the ``ceil(emp)`` antichain order is coarsened by
 a precomputed simulation on the prepared SDBA (Lemma 6.2).
@@ -9,7 +9,9 @@ a precomputed simulation on the prepared SDBA (Lemma 6.2).
 Methodology: for each ``bench_scaling`` family at its largest
 configuration, one analysis run harvests the certified-module chain
 (as in ``bench_kernel_cache``); the difference chain is then replayed
-with the reduction on and off.  Two sweeps:
+with the reduction on and off.  The "off" side runs the same pipeline
+under a scoped ``Budget(simulation_cap=0)``, which blows both halves of
+the reduction before they start.  Two sweeps:
 
 - **plain replay** -- the harvested modules as-is.  Module construction
   already merges equal-predicate states, so the quotient usually finds
@@ -22,9 +24,8 @@ with the reduction on and off.  Two sweeps:
   collapses the copies before complementation, so the reduced run
   must explore >= 15% fewer product states on at least one family.
 
-Unlike the cache ablation the two modes explore *different* products
-(that is the point), so agreement is checked on emptiness verdicts
-only.  A final sweep checks verdict agreement on differences against
+The two modes explore *different* products (that is the point), so
+agreement is checked on emptiness verdicts only.  A final sweep checks verdict agreement on differences against
 the Figure-4 random-SDBA corpus.
 """
 
@@ -40,6 +41,7 @@ from repro.automata.gba import GBA, ba
 from repro.benchgen.scaled import (interleaved_counters, nested_loops,
                                    phase_chain, sequential_loops)
 from repro.core.api import prove_termination
+from repro.core.budget import Budget, use_budget
 from repro.core.config import AnalysisConfig
 from repro.program.cfg import build_cfg
 
@@ -81,6 +83,13 @@ def union_copies(auto: GBA, k: int) -> GBA:
     return ba(auto.alphabet, transitions, initial, accepting, states=states)
 
 
+def reduced_difference(minuend, subtrahend, reduce: bool):
+    """``difference`` with the reduction on, or skipped by a zero
+    simulation cap."""
+    with use_budget(None if reduce else Budget(simulation_cap=0)):
+        return difference(minuend, subtrahend)
+
+
 def replay_chain(program_gba, modules, *, reduce: bool, overlap: int = 1):
     """Replay the difference chain; returns (seconds, verdicts, explored)."""
     start = time.perf_counter()
@@ -89,7 +98,7 @@ def replay_chain(program_gba, modules, *, reduce: bool, overlap: int = 1):
     explored = 0
     for module in modules:
         subtrahend = union_copies(module, overlap) if overlap > 1 else module
-        result = difference(current, subtrahend, simulation_reduction=reduce)
+        result = reduced_difference(current, subtrahend, reduce)
         verdicts.append(result.is_empty)
         explored += result.stats.explored_states
         current = result.automaton
@@ -171,11 +180,9 @@ def _corpus_pairs(corpus, count: int = 20):
 def test_simulation_reduction_corpus_agreement(corpus):
     pairs = _corpus_pairs(corpus)
     start = time.perf_counter()
-    on = [difference(m, s, simulation_reduction=True).is_empty
-          for m, s in pairs]
+    on = [reduced_difference(m, s, True).is_empty for m, s in pairs]
     mid = time.perf_counter()
-    off = [difference(m, s, simulation_reduction=False).is_empty
-           for m, s in pairs]
+    off = [reduced_difference(m, s, False).is_empty for m, s in pairs]
     end = time.perf_counter()
     assert on == off
     print(f"\n=== simulation reduction on the Fig. 4 corpus "

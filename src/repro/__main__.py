@@ -70,15 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use NCSB-Original instead of NCSB-Lazy")
     parser.add_argument("--no-subsumption", action="store_true",
                         help="disable the ceil(emp) antichain")
-    parser.add_argument("--no-simulation-reduction", action="store_true",
-                        help="disable simulation-based reduction (module "
-                             "quotienting + coarsened antichain)")
     parser.add_argument("--interpolants", action="store_true",
                         help="generalize infeasible counterexamples through "
                              "interpolant modules")
-    parser.add_argument("--via-semidet", action="store_true",
-                        help="complement general modules via "
-                             "semi-determinization + NCSB")
     parser.add_argument("--complement", default="auto",
                         choices=("auto", "finite-trace", "dba", "ncsb",
                                  "ncsb-original", "ncsb-lazy", "semidet+ncsb",
@@ -87,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "module subtraction (default: class-aware "
                              "dispatch; modules a pinned kind cannot handle "
                              "fall back to the dispatch)")
-    parser.add_argument("--no-modular", action="store_true",
-                        help="disable modular (per-SCC mix-and-match) "
-                             "complementation of general modules")
     parser.add_argument("--portfolio", action="store_true",
                         help="run the default configuration portfolio "
                              "(multi-stage, then interpolant modules)")
@@ -184,11 +175,7 @@ def run_single(argv: list[str]) -> int:
         config = AnalysisConfig(stages=stages,
                                 lazy_complement=not args.no_lazy,
                                 subsumption=not args.no_subsumption,
-                                simulation_reduction=(
-                                    not args.no_simulation_reduction),
                                 interpolant_modules=args.interpolants,
-                                via_semidet=args.via_semidet,
-                                modular_complement=not args.no_modular,
                                 complement_kind=complement_kind,
                                 timeout=args.timeout,
                                 max_refinements=args.max_refinements)

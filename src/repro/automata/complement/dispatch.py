@@ -71,7 +71,6 @@ def implicit_complement(auto: GBA,
                         alphabet: Iterable[Symbol] | None = None,
                         *,
                         lazy: bool = True,
-                        via_semidet: bool = False,
                         modular: bool = False,
                         kind: ComplementKind | None = None,
                         ) -> tuple[ImplicitGBA, ComplementKind]:
@@ -80,26 +79,21 @@ def implicit_complement(auto: GBA,
     Returns an implicit BA; ``lazy`` selects NCSB-Lazy over
     NCSB-Original for SDBAs; ``modular`` lets general BAs with a
     genuinely mixed SCC condensation go through the per-SCC
-    mix-and-match decomposition (it takes precedence over
-    ``via_semidet``); ``via_semidet`` routes the remaining general BAs
-    through semi-determinization + NCSB instead of the rank-based
-    construction; ``kind`` forces a specific procedure (useful for the
-    head-to-head benchmarks).
+    mix-and-match decomposition; ``kind`` forces a specific procedure
+    (e.g. ``VIA_SEMIDET`` for semi-determinization + NCSB instead of
+    the rank-based construction, or a head-to-head benchmark's pick).
     """
     sigma = frozenset(auto.alphabet if alphabet is None else alphabet)
     if kind is None:
         kind = classify_kind(auto)
         if kind is ComplementKind.SDBA_LAZY and not lazy:
             kind = ComplementKind.SDBA_ORIGINAL
-        if kind is ComplementKind.RANK:
-            if modular:
-                completed = complete(auto, sigma)
-                cond = condensation(completed)
-                if cond.modular_pays_off():
-                    return (ModularComplement(completed, cond),
-                            ComplementKind.MODULAR)
-            if via_semidet:
-                kind = ComplementKind.VIA_SEMIDET
+        if kind is ComplementKind.RANK and modular:
+            completed = complete(auto, sigma)
+            cond = condensation(completed)
+            if cond.modular_pays_off():
+                return (ModularComplement(completed, cond),
+                        ComplementKind.MODULAR)
 
     if kind is ComplementKind.MODULAR:
         return ModularComplement(complete(auto, sigma)), kind

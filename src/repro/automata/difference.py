@@ -15,7 +15,7 @@ a product state ``(qA, qhat)`` is known-useless if some recorded
 ``(qA, rhat)`` with ``qhat <=' rhat`` is, where ``<='`` is Eq. 4 for
 NCSB-Original and Eq. 5 for NCSB-Lazy (Theorem 6.3 / 6.4).
 
-``simulation_reduction`` (default on) adds the Section 6.1 layer:
+The Section 6.1 simulation layer is always on:
 
 - the subtrahend is quotiented by (part-respecting) direct-simulation
   equivalence before complementation, so NCSB/rank run on a smaller
@@ -30,6 +30,11 @@ NCSB-Original and Eq. 5 for NCSB-Lazy (Theorem 6.3 / 6.4).
   raw: a never-accepting run stuck in B blocks the next breakpoint).
   When the computed relation is trivial (identity only) the oracle
   falls back to the plain bitset path.
+
+Both halves charge the scoped budget's ``simulation_cap`` and are
+skipped when it blows, so ``Budget(simulation_cap=0)`` (or
+``AnalysisConfig(simulation_cap=0)``) runs the unreduced pipeline --
+the reference the reduction's ablation compares against.
 """
 
 from __future__ import annotations
@@ -287,10 +292,7 @@ class DifferenceResult:
 def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                lazy: bool = True,
                subsumption: bool = True,
-               via_semidet: bool = False,
                modular: bool = False,
-               cache: bool = True,
-               simulation_reduction: bool = True,
                kind: ComplementKind | None = None) -> DifferenceResult:
     """Compute ``L(minuend) \\ L(subtrahend)`` as a trimmed GBA.
 
@@ -308,26 +310,25 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     bet, and the established construction stays the backstop.  A pinned
     ``kind=MODULAR`` never falls back.
 
-    ``cache`` (default on) installs the shared successor-index /
-    memoization layer: an implicit minuend is wrapped in a
+    The shared successor-index / memoization layer is always on: an
+    implicit minuend is wrapped in a
     :class:`~repro.automata.gba.CachedImplicitGBA` (explicit GBAs
     already carry their own lazily built edge index), and so is the
     product itself, giving Algorithm 1 precomputed per-state sorted
     edge lists instead of a fresh alphabet sort per pushed state.
 
-    ``simulation_reduction`` (default on) quotients the subtrahend by
-    direct-simulation equivalence before complementation and coarsens
-    the subsumption antichain with a simulation on the prepared SDBA
-    (see module docstring).  Both halves are language-preserving, so
-    verdicts never change -- only exploration effort.
+    The subtrahend is quotiented by direct-simulation equivalence
+    before complementation and the subsumption antichain is coarsened
+    with a simulation on the prepared SDBA (see module docstring).
+    Both halves are language-preserving, so verdicts never change --
+    only exploration effort.
     """
     tracer = get_tracer()
     if _faults._ACTIVE is not None:
         _faults.perturb("difference")
     with tracer.span("difference") as span:
         module_states = len(subtrahend.states)
-        if simulation_reduction:
-            subtrahend = _reduced_subtrahend(subtrahend, kind)
+        subtrahend = _reduced_subtrahend(subtrahend, kind)
         heuristic_modular = False
 
         def attempt(use_modular: bool) -> DifferenceResult:
@@ -335,7 +336,7 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
             with tracer.span("complement") as comp_span:
                 comp, used_kind = implicit_complement(
                     subtrahend, minuend.alphabet, lazy=lazy,
-                    via_semidet=via_semidet, modular=use_modular, kind=kind)
+                    modular=use_modular, kind=kind)
                 comp_span.set(kind=used_kind.value,
                               module_states=len(subtrahend.states),
                               reduced_from=module_states)
@@ -343,13 +344,11 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                                  and used_kind is ComplementKind.MODULAR)
             wrappers: list[CachedImplicitGBA] = []
             left = minuend
-            if cache and not isinstance(left, (GBA, CachedImplicitGBA)):
+            if not isinstance(left, (GBA, CachedImplicitGBA)):
                 left = CachedImplicitGBA(left)
                 wrappers.append(left)
-            product: ImplicitGBA = ProductGBA(left, comp)
-            if cache:
-                product = CachedImplicitGBA(product)
-                wrappers.append(product)
+            product = CachedImplicitGBA(ProductGBA(left, comp))
+            wrappers.append(product)
             oracle: EmptyOracle | None = None
             ncsb_kinds = (ComplementKind.SDBA_ORIGINAL,
                           ComplementKind.SDBA_LAZY,
@@ -358,9 +357,8 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                 uses_lazy = used_kind is ComplementKind.SDBA_LAZY or (
                     used_kind is ComplementKind.VIA_SEMIDET and lazy)
                 relation = subsumes_b if uses_lazy else subsumes
-                simulation = (_subtrahend_simulation(comp)
-                              if simulation_reduction else None)
-                oracle = SubsumptionOracle(relation, simulation=simulation)
+                oracle = SubsumptionOracle(
+                    relation, simulation=_subtrahend_simulation(comp))
             def register(stats: RemovalStats) -> None:
                 """Fold the wrapper/oracle counters into ``stats`` and
                 account the attempt in the metrics registry."""

@@ -55,32 +55,18 @@ class AnalysisConfig:
     lazy_complement: bool = True
     #: Use the subsumption antichain (Section 6) in the difference.
     subsumption: bool = True
-    #: Complement general (stage-4) modules through semi-determinization
-    #: + NCSB instead of the rank-based construction.
-    via_semidet: bool = False
-    #: Let general modules with a genuinely mixed SCC condensation go
-    #: through the per-SCC mix-and-match decomposition
-    #: (:mod:`repro.automata.complement.modular`); a resource blow-up
-    #: under the heuristic falls back to the monolithic path.  Takes
-    #: precedence over ``via_semidet`` when the condensation is mixed.
-    modular_complement: bool = True
     #: Pin one complementation procedure for every module subtraction
     #: (a :class:`~repro.automata.complement.dispatch.ComplementKind`
-    #: value, e.g. ``"modular"`` or ``"rank-based"``); None keeps the
-    #: class-aware dispatch.  The pin is best-effort: modules the kind
-    #: cannot complement fall back to the dispatch for that subtraction.
+    #: value, e.g. ``"modular"``, ``"rank-based"`` or
+    #: ``"semidet+ncsb"``); None keeps the class-aware dispatch, which
+    #: sends general modules with a genuinely mixed SCC condensation
+    #: through the per-SCC mix-and-match decomposition.  The pin is
+    #: best-effort: modules the kind cannot complement fall back to the
+    #: dispatch for that subtraction.
     complement_kind: str | None = None
-    #: Use the successor-index / memoization layer in the difference
-    #: pipeline (CachedImplicitGBA wrappers + per-state edge lists).
-    #: Off is only useful for ablation benchmarks.
-    kernel_cache: bool = True
-    #: Simulation-based reduction (Section 6.1): quotient the module
-    #: automaton by direct-simulation equivalence before complementation
-    #: and coarsen the subsumption antichain with a simulation on the
-    #: subtrahend.  Off is only useful for ablation benchmarks.
-    simulation_reduction: bool = True
-    #: Candidate-pair budget per run for the simulation solvers (None =
-    #: unbounded).  A blown cap skips the reduction, never the analysis.
+    #: Candidate-pair budget per run for the simulation solvers behind
+    #: the Section 6.1 reduction (None = unbounded).  A blown cap skips
+    #: the reduction, never the analysis; 0 skips it from the start.
     simulation_cap: int | None = 200_000
     #: Generalize infeasible counterexamples through interpolant-based
     #: semideterministic modules (Ultimate-style interpolant automata)
@@ -149,11 +135,7 @@ class AnalysisConfig:
             "stages": [stage.value for stage in self.stages],
             "lazy_complement": self.lazy_complement,
             "subsumption": self.subsumption,
-            "via_semidet": self.via_semidet,
-            "modular_complement": self.modular_complement,
             "complement_kind": self.complement_kind,
-            "kernel_cache": self.kernel_cache,
-            "simulation_reduction": self.simulation_reduction,
             "simulation_cap": self.simulation_cap,
             "interpolant_modules": self.interpolant_modules,
             "max_refinements": self.max_refinements,
@@ -173,14 +155,19 @@ class AnalysisConfig:
         """Rebuild a configuration from :meth:`to_dict` output.
 
         Missing keys take the field defaults (so hand-written manifest
-        entries can name only the knobs they change); unknown keys are
-        rejected to catch typos in manifests.
+        entries can name only the knobs they change); unknown keys and
+        stage-sequence names raise ``ValueError`` to catch typos in
+        manifests.
         """
         kwargs = dict(data)
         kwargs.pop("name", None)  # manifests may label their configs
         stages = kwargs.pop("stages", None)
         if stages is not None:
             if isinstance(stages, str):
+                if stages not in StageSequence.BY_NAME:
+                    raise ValueError(
+                        f"unknown stage sequence {stages!r} "
+                        f"(have {sorted(StageSequence.BY_NAME)})")
                 kwargs["stages"] = StageSequence.BY_NAME[stages]
             else:
                 kwargs["stages"] = tuple(Stage(s) for s in stages)
@@ -204,18 +191,10 @@ class AnalysisConfig:
             opts.append("subsumption")
         if self.interpolant_modules:
             opts.append("interpolants")
-        if self.via_semidet:
-            opts.append("semidet")
-        # Only non-default complementation knobs show up, so existing
+        # Only a non-default complementation pin shows up, so existing
         # config strings (and the store keys derived from them) persist.
         if self.complement_kind:
             opts.append(f"comp={self.complement_kind}")
-        if not self.modular_complement:
-            opts.append("nomodular")
-        if not self.kernel_cache:
-            opts.append("nocache")
-        if not self.simulation_reduction:
-            opts.append("nosim")
         if not self.firewall:
             opts.append("nofw")
         if self.fault_plan:

@@ -227,11 +227,8 @@ class RefinementEngine:
                 minuend, module.automaton,
                 lazy=config.lazy_complement,
                 subsumption=config.subsumption,
-                via_semidet=config.via_semidet,
-                modular=config.modular_complement,
-                kind=module_kind,
-                cache=config.kernel_cache,
-                simulation_reduction=config.simulation_reduction)
+                modular=True,
+                kind=module_kind)
 
         def degrade(failed: CertifiedModule, proof, exc: ResourceExhausted,
                     index: int):

@@ -14,7 +14,8 @@ returning the first conclusive verdict::
 Both commands use the deterministic exit-code scheme shared by every
 ``python -m repro`` subcommand: **0** all results conclusive, **2**
 some result unknown / timed out, **3** error rows or unusable input
-(parse error, empty store).
+(parse error, a config the manifest or ``--sequences`` gets wrong,
+empty store).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def bench_main(argv: list[str] | None = None) -> int:
         description="Evaluate a corpus manifest through the worker pool.",
         epilog="exit codes: 0 = all rows conclusive, 2 = some row "
                "unknown, timed out, or oom-killed, 3 = error or "
-               "quarantined rows (or --fail-fast cancellation)")
+               "quarantined rows, a config error (or --fail-fast "
+               "cancellation)")
     parser.add_argument("manifest", nargs="?", default=None,
                         help="corpus manifest JSON (default: the full "
                              "benchgen suite)")
@@ -122,6 +124,12 @@ def bench_main(argv: list[str] | None = None) -> int:
         manifest = load_manifest(args.manifest)
     else:
         manifest = suite_manifest(task_timeout=args.task_timeout)
+    try:
+        for entry in manifest.get("configs") or [{}]:
+            AnalysisConfig.from_dict(entry)
+    except ValueError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 3
     if args.fault_plan:
         text = args.fault_plan
         if os.path.isfile(text):
@@ -205,7 +213,7 @@ def race_main(argv: list[str] | None = None) -> int:
         prog="python -m repro race",
         description="Race the configuration portfolio on one program.",
         epilog="exit codes: 0 = conclusive verdict, 2 = unknown/timeout, "
-               "3 = parse error")
+               "3 = parse or config error")
     parser.add_argument("file", help="program file ('-' reads stdin)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-configuration budget in seconds")
@@ -250,8 +258,12 @@ def race_main(argv: list[str] | None = None) -> int:
 
     if args.sequences:
         names = [s.strip() for s in args.sequences.split(",") if s.strip()]
-        configs = tuple(AnalysisConfig.from_dict({"stages": n})
-                        for n in names)
+        try:
+            configs = tuple(AnalysisConfig.from_dict({"stages": n})
+                            for n in names)
+        except ValueError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 3
     else:
         configs = DEFAULT_PORTFOLIO
     # Live attempt status on stderr (never under --json, whose stdout

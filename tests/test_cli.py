@@ -184,3 +184,13 @@ def test_cli_race_subcommand(tmp_path, capsys):
     assert code == 0
     assert payload["verdict"] == "terminating"
     assert len(payload["attempts"]) == 2
+
+
+def test_cli_race_bad_sequence_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "prog.t"
+    path.write_text(TERMINATING)
+    code = main(["race", str(path), "--inprocess", "--sequences", "iv"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("config error: ")
+    assert "'iv'" in captured.err

@@ -3,8 +3,9 @@
 Covers the CachedImplicitGBA wrapper, the lazily built GBA edge index,
 the streaming of Algorithm 1's edges (bounded auxiliary memory), the
 bitset-encoded subsumption antichain, and a corpus-level cross-check of
-``difference`` under every (subsumption, cache) combination against the
-naive materialized-product emptiness reference.
+``difference`` (antichain on and off) against the naive
+materialized-product emptiness reference, with Algorithm 1 run over the
+same product with and without the memoizing wrapper.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import random
 
 import pytest
 
-from repro.automata.complement.dispatch import implicit_complement
+from repro.automata.complement.dispatch import (ComplementKind,
+                                                implicit_complement)
 from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
                                             subsumes, subsumes_b)
 from repro.automata.difference import SubsumptionOracle, difference
@@ -197,39 +199,44 @@ def test_oracle_prefilter_counts_skips():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_difference_configurations_agree_with_naive_reference(seed):
-    """difference(subsumption=T/F, cache=T/F) vs is_empty_naive on the
-    materialized product, plus accepted-word agreement, over the random
-    SDBA corpus generators."""
+    """difference(subsumption=T/F) vs is_empty_naive on the materialized
+    product, plus accepted-word agreement, over the random SDBA corpus
+    generators; and Algorithm 1 over the same product with and without
+    a CachedImplicitGBA wrapper, with and without the antichain."""
     subtrahend = random_sdba(seed, n_nondet=3, n_det=4)
     minuend = random_minuend(seed + 1000, subtrahend.alphabet)
 
-    results = {
-        (subsumption, cache): difference(minuend, subtrahend,
-                                         subsumption=subsumption, cache=cache)
-        for subsumption in (True, False)
-        for cache in (True, False)
-    }
+    results = {subsumption: difference(minuend, subtrahend,
+                                       subsumption=subsumption)
+               for subsumption in (True, False)}
 
     # naive reference: materialize the whole product, Tarjan-based check
-    comp, _ = implicit_complement(subtrahend, minuend.alphabet)
-    product = materialize(ProductGBA(minuend, comp))
-    naive_empty = is_empty_naive(product)
+    comp, kind = implicit_complement(subtrahend, minuend.alphabet)
+    assert kind is ComplementKind.SDBA_LAZY
+    product = ProductGBA(minuend, comp)
+    naive_empty = is_empty_naive(materialize(product))
 
-    for config, result in results.items():
-        assert result.is_empty == naive_empty, config
+    for subsumption, result in results.items():
+        assert result.is_empty == naive_empty, subsumption
         if not result.is_empty:
             witness = find_accepting_lasso(result.automaton)
-            assert witness is not None, config
-            assert accepts(minuend, witness), config
-            assert not accepts(subtrahend, witness), config
+            assert witness is not None, subsumption
+            assert accepts(minuend, witness), subsumption
+            assert not accepts(subtrahend, witness), subsumption
+    # caching engaged inside difference()
+    assert results[True].stats.cache_misses > 0
 
-    # cache on/off is pure memoization: identical automata and counters
+    # the wrapper is pure memoization: identical automata and counters
     for subsumption in (True, False):
-        on, off = results[(subsumption, True)], results[(subsumption, False)]
-        assert on.automaton.states == off.automaton.states
-        assert dict(on.automaton.transitions) == dict(off.automaton.transitions)
-        assert on.stats.useful_states == off.stats.useful_states
-        assert on.stats.useless_states == off.stats.useless_states
-        assert on.stats.explored_states == off.stats.explored_states
-    # caching actually engaged on the cached runs
-    assert results[(True, True)].stats.cache_misses > 0
+        def oracle():
+            return SubsumptionOracle(subsumes_b) if subsumption else None
+        wrapped = CachedImplicitGBA(product)
+        on, on_stats = remove_useless(wrapped, oracle=oracle())
+        off, off_stats = remove_useless(product, oracle=oracle())
+        assert on.states == off.states
+        assert dict(on.transitions) == dict(off.transitions)
+        assert on_stats.useful_states == off_stats.useful_states
+        assert on_stats.useless_states == off_stats.useless_states
+        assert on_stats.explored_states == off_stats.explored_states
+        assert wrapped.cache_misses > 0
+        assert (not on.initial_states()) == naive_empty

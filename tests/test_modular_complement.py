@@ -25,6 +25,7 @@ from repro.automata.emptiness import is_empty_naive
 from repro.automata.gba import ba, materialize
 from repro.automata.ops import complete, intersect
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import Budget, use_budget
 from repro.core.config import AnalysisConfig
 
 SIGMA = ("a", "b")
@@ -234,9 +235,6 @@ def test_dispatch_heuristic_engages_only_when_mixed():
     # modular off: the monolithic rank path
     _, kind = implicit_complement(mixed, modular=False)
     assert kind is ComplementKind.RANK
-    # modular beats via_semidet when both apply
-    _, kind = implicit_complement(mixed, modular=True, via_semidet=True)
-    assert kind is ComplementKind.MODULAR
     # an all-general condensation gains nothing: stays RANK
     for seed in range(20):
         rnd = random_general_ba(seed)
@@ -327,8 +325,8 @@ def test_difference_forced_modular_agrees_with_rank():
 def test_difference_heuristic_modular_engages():
     minuend = complete(ba(SIGMA, {("m", "a"): {"m"}, ("m", "b"): {"m"}},
                           ["m"], ["m"]))
-    result = difference(minuend, mixed_ba(), modular=True,
-                        simulation_reduction=False)
+    with use_budget(Budget(simulation_cap=0)):
+        result = difference(minuend, mixed_ba(), modular=True)
     assert result.kind is ComplementKind.MODULAR
     # modular off, and the mixed subtrahend would be too big to explore
     # monolithically -- so check the decline paths on a 2-state
@@ -342,8 +340,8 @@ def test_difference_heuristic_modular_engages():
     assert all(c.scc_class is SCCClass.GENERAL
                for c in cond.accepting_components)
     for flag in (True, False):
-        result = difference(minuend, general, modular=flag,
-                            simulation_reduction=False)
+        with use_budget(Budget(simulation_cap=0)):
+            result = difference(minuend, general, modular=flag)
         assert result.kind is ComplementKind.RANK
 
 
@@ -351,9 +349,8 @@ def test_difference_heuristic_modular_engages():
 
 
 def test_config_roundtrips_modular_fields():
-    config = AnalysisConfig(modular_complement=False, complement_kind="modular")
+    config = AnalysisConfig(complement_kind="modular")
     data = config.to_dict()
-    assert data["modular_complement"] is False
     assert data["complement_kind"] == "modular"
     assert AnalysisConfig.from_dict(json.loads(json.dumps(data))) == config
     # every ComplementKind value is a valid pin and round-trips
@@ -370,7 +367,6 @@ def test_config_rejects_unknown_complement_kind():
 def test_config_describe_only_names_non_defaults():
     assert "modular" not in AnalysisConfig().describe()
     assert "comp=" not in AnalysisConfig().describe()
-    assert "nomodular" in AnalysisConfig(modular_complement=False).describe()
     assert "comp=modular" in AnalysisConfig(complement_kind="modular").describe()
 
 
@@ -379,8 +375,7 @@ def test_cli_complement_flag(tmp_path, capsys):
     path = tmp_path / "prog.t"
     path.write_text("program t(x):\n    while x > 0:\n        x := x - 1\n")
     verdicts = {}
-    for flag in (["--complement", "modular"], ["--complement", "rank"],
-                 ["--no-modular"]):
+    for flag in (["--complement", "modular"], ["--complement", "rank"]):
         code = main(["--quiet", *flag, str(path)])
         verdicts[tuple(flag)] = capsys.readouterr().out.strip()
         assert code == 0

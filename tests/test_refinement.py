@@ -245,9 +245,9 @@ def test_portfolio_requires_configs():
 
 
 def test_via_semidet_route_sound():
-    result = prove_termination_source(COUNTDOWN,
-                                      AnalysisConfig.single_stage(
-                                          timeout=20.0, via_semidet=True))
+    result = prove_termination_source(
+        COUNTDOWN, AnalysisConfig.single_stage(
+            timeout=20.0, complement_kind="semidet+ncsb"))
     assert result.verdict is Verdict.TERMINATING
 
 

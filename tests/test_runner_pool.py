@@ -206,5 +206,11 @@ def test_config_round_trips_to_workers():
     # manifests can name sequences and must get typos rejected
     assert AnalysisConfig.from_dict({"stages": "iii"}).stages == \
         StageSequence.SEQ_III
-    with pytest.raises(ValueError):
-        AnalysisConfig.from_dict({"lazyness": True})
+    # a typo'd key, a typo'd sequence name, and the retired
+    # extension-ablation toggles (a stale manifest must not silently
+    # run the default)
+    for typo in ({"lazyness": True}, {"stages": "iv"},
+                 {"kernel_cache": False}, {"simulation_reduction": False},
+                 {"modular_complement": False}, {"via_semidet": True}):
+        with pytest.raises(ValueError):
+            AnalysisConfig.from_dict(typo)

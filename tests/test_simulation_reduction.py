@@ -1,6 +1,8 @@
 """Tests for the simulation-based reduction layer of the difference
 pipeline: subtrahend quotienting, the simulation-coarsened subsumption
-antichain, and the ``AnalysisConfig.simulation_reduction`` flag.
+antichain, and their on/off equivalence (the "off" side is the same
+pipeline under a scoped ``Budget(simulation_cap=0)``, which skips both
+halves of the reduction).
 
 The soundness claims under test:
 
@@ -26,6 +28,7 @@ from repro.automata.difference import (SubsumptionOracle,
 from repro.automata.gba import ba, materialize
 from repro.automata.simulation import direct_simulation
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import Budget, use_budget
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 SIGMA = ("a", "b")
@@ -151,21 +154,29 @@ def test_twin_states_are_quotiented_with_metrics():
                     ["i"], ["p", "q"], states={"i", "p", "q"})
     minuend = random_minuend(7)
     with use_registry(MetricsRegistry()) as registry:
-        difference(minuend, subtrahend, simulation_reduction=True)
+        difference(minuend, subtrahend)
         counters = registry.snapshot()["counters"]
     assert counters.get("reduction.quotients", 0) >= 1
     assert counters.get("reduction.states_removed", 0) >= 1
 
 
-# -- flag equivalence --------------------------------------------------------------
+# -- on/off equivalence ------------------------------------------------------------
+
+
+def unreduced(minuend, subtrahend, **kwargs):
+    """``difference`` with the reduction skipped: a zero simulation cap
+    blows both halves before they start."""
+    with use_budget(Budget(simulation_cap=0)):
+        return difference(minuend, subtrahend, **kwargs)
+
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("lazy", [True, False])
 def test_difference_verdict_independent_of_reduction(seed, lazy):
     minuend = random_minuend(seed)
     subtrahend = random_sdba(seed + 500)
-    on = difference(minuend, subtrahend, lazy=lazy, simulation_reduction=True)
-    off = difference(minuend, subtrahend, lazy=lazy, simulation_reduction=False)
+    on = difference(minuend, subtrahend, lazy=lazy)
+    off = unreduced(minuend, subtrahend, lazy=lazy)
     assert on.is_empty == off.is_empty
     sample = words(40, seed + 3000)
     for word in sample:
@@ -182,8 +193,8 @@ def test_reduction_never_explores_more_when_quotienting():
                      ("p", "b"): {"p"}, ("q", "b"): {"q"}},
                     ["i"], ["p", "q"], states={"i", "p", "q"})
     minuend = random_minuend(11, n=5)
-    on = difference(minuend, subtrahend, simulation_reduction=True)
-    off = difference(minuend, subtrahend, simulation_reduction=False)
+    on = difference(minuend, subtrahend)
+    off = unreduced(minuend, subtrahend)
     assert on.is_empty == off.is_empty
     assert on.stats.explored_states <= off.stats.explored_states
 
@@ -214,7 +225,7 @@ program count_up(x):
     ]
     for source in programs:
         on = prove_termination_source(
-            source, AnalysisConfig(timeout=30.0, simulation_reduction=True))
+            source, AnalysisConfig(timeout=30.0))
         off = prove_termination_source(
-            source, AnalysisConfig(timeout=30.0, simulation_reduction=False))
+            source, AnalysisConfig(timeout=30.0, simulation_cap=0))
         assert on.verdict == off.verdict, source

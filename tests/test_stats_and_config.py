@@ -36,7 +36,8 @@ def test_config_is_hashable_value():
 
 def test_describe_mentions_all_options():
     config = AnalysisConfig(lazy_complement=False, subsumption=True,
-                            interpolant_modules=True, via_semidet=True)
+                            interpolant_modules=True,
+                            complement_kind="semidet+ncsb")
     described = config.describe()
     for token in ("ncsb-original", "subsumption", "interpolants", "semidet"):
         assert token in described
@@ -85,21 +86,14 @@ def test_collector_sdba_capture_flag():
     assert on.sdbas == [auto]
 
 
-def test_describe_mentions_nosim_only_when_reduction_off():
-    assert "nosim" not in AnalysisConfig().describe()
-    assert "nosim" in AnalysisConfig(simulation_reduction=False).describe()
-
-
 def test_config_round_trips_simulation_fields():
-    config = AnalysisConfig(simulation_reduction=False, simulation_cap=1234)
+    config = AnalysisConfig(simulation_cap=1234)
     data = config.to_dict()
-    assert data["simulation_reduction"] is False
     assert data["simulation_cap"] == 1234
     assert AnalysisConfig.from_dict(data) == config
-    # the default round-trips too (flag on, finite default cap)
+    # the default round-trips too (finite default cap)
     default = AnalysisConfig()
     assert AnalysisConfig.from_dict(default.to_dict()) == default
-    assert default.simulation_reduction is True
 
 
 def test_refinement_round_records_companion_stage():
