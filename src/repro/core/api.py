@@ -20,6 +20,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
 from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
 from repro.core.stats import AnalysisStats, StatsCollector
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
@@ -38,6 +39,12 @@ def prove_termination(program: Program,
     activated around the run, and -- unless ``config.firewall`` is off
     -- every conclusive verdict is independently re-validated by
     :func:`repro.core.firewall.screen` before being returned.
+
+    The solver work done outside the engine's own registry (guard
+    pruning in :func:`build_cfg`, the firewall's re-checks) is counted
+    in one registry scoped around the whole analysis and folded onto
+    ``result.stats`` once, so the result carries all of its work and no
+    count leaks into the caller's registry.
 
     ``checkpoint`` (a :class:`repro.core.checkpoint.Checkpointer`,
     optional) makes the run crash-recoverable: the certified module
@@ -60,17 +67,20 @@ def prove_termination(program: Program,
     if library is not None and not hasattr(library, "match"):
         from repro.core.library import ModuleLibrary
         library = ModuleLibrary(library)
-    cfg = build_cfg(program)
-    engine = RefinementEngine(cfg, config, collector, checkpoint=checkpoint,
-                              library=library)
-    plan = faults.resolve_plan(config.fault_plan)
-    if plan is not None:
-        with faults.use_plan(plan):
+    with use_registry(MetricsRegistry()) as outside:
+        cfg = build_cfg(program)
+        engine = RefinementEngine(cfg, config, collector,
+                                  checkpoint=checkpoint, library=library)
+        plan = faults.resolve_plan(config.fault_plan)
+        if plan is not None:
+            with faults.use_plan(plan):
+                result = engine.run()
+        else:
             result = engine.run()
-    else:
-        result = engine.run()
-    if config.firewall:
-        result = screen(result, config.timeout)
+        if config.firewall:
+            result = screen(result, config.timeout)
+    for name, value in outside.snapshot()["counters"].items():
+        result.stats.count(name, value)
     return result
 
 

@@ -27,7 +27,10 @@ The screen runs with fault injection suspended and the resource budget
 cleared: its solver calls must see honest answers, and a budget that
 ended the analysis must not also starve the validation of the result.
 Only the remainder re-search gets a budget: the screen's allowance.
-Counters land on the result's own ``stats.metrics``.
+It also opens its own fresh Fourier--Motzkin memo, so no re-check reads
+an elimination cached by the run it is judging.  ``firewall.*``
+counters land on the result's own ``stats.metrics``; the screen's
+solver counters reach it through :func:`repro.core.api.prove_termination`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.core.budget import Budget, DeadlineExceeded, use_budget
 from repro.core.module import revalidate
 from repro.core.refinement import TerminationResult, Verdict
 from repro.core.stats import Incident
+from repro.logic import fourier_motzkin as fm
 from repro.logic.terms import var
 from repro.program.interp import run_word
 from repro.program.statements import Havoc
@@ -75,7 +79,7 @@ def screen(result: TerminationResult, timeout: float | None = None,
     stats = result.stats
     stats.count("firewall.screens")
     deadline = time.perf_counter() + _allowance(timeout)
-    with faults.suspended(), use_budget(None):
+    with faults.suspended(), use_budget(None), fm.use_memo():
         if result.verdict is Verdict.TERMINATING:
             problems = _check_terminating(result, deadline)
         else:

@@ -19,7 +19,9 @@ Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
 (wall-clock deadline plus every cap of the configuration, the per-call
 difference and powerset state caps included) scoped via ``use_budget``,
 the only route by which a deadline or cap reaches the solver, stage and
-automata layers.  A state or constraint blowup first walks the
+automata layers.  Next to it the run scopes a fresh Fourier--Motzkin
+memo (:func:`repro.logic.fourier_motzkin.use_memo`), dropped when the
+run ends.  A state or constraint blowup first walks the
 *degradation ladder* -- the same proof re-generalized at structurally
 cheaper stages -- and only becomes UNKNOWN when every rung blows up
 too; each fallback is recorded as an ``Incident`` on the run's stats.
@@ -52,6 +54,7 @@ from repro.core.module import CertifiedModule
 from repro.core.stages import Stage, build_finite_module, generalize
 from repro.core.stats import (AnalysisStats, Incident, RefinementRound,
                               StatsCollector)
+from repro.logic import fourier_motzkin as fm
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
@@ -152,7 +155,8 @@ class RefinementEngine:
                         simulation_cap=config.simulation_cap,
                         difference_state_cap=config.difference_state_limit,
                         stage_state_cap=config.stage_state_budget)
-        with obs_metrics.use_registry(registry), use_budget(budget):
+        with obs_metrics.use_registry(registry), use_budget(budget), \
+                fm.use_memo():
             with tracer.span("analysis", program=self._cfg.name,
                              config=config.describe()) as span:
                 result = self._refine(tracer, registry, budget)

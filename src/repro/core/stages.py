@@ -168,11 +168,14 @@ class _PowersetBuilder:
         base states whose predicate follows by a valid Hoare triple."""
         key = (states, stmt)
         if key not in self._wedge_cache:
+            # ``hoare_valid(pre, stmt, I(q))`` for every q at once: the
+            # strongest postcondition is the same for all of them.
             pre = self.conj(states)
-            update = self._ranking if self.has_accepting(states) else None
-            out = frozenset(
-                q for q in self._all_states
-                if hoare_valid(pre, stmt, self._cert[q], oldrnk_update=update))
+            if self.has_accepting(states):
+                pre = pre.assign_oldrnk(self._ranking)
+            image = stmt.sp_pred(pre)
+            out = frozenset(q for q in self._all_states
+                            if image.entails(self._cert[q]))
             self._wedge_cache[key] = out
         return self._wedge_cache[key]
 

@@ -14,12 +14,21 @@ propagated: a combination is strict iff either parent is strict.
 Satisfiability is *exact over the rationals*; over the integers it is
 sound in the UNSAT direction (rational-UNSAT implies integer-UNSAT),
 which is the direction every soundness-critical caller relies on.
+
+One analysis run asks the same projection many times (the powerset
+stages and the Definition 3.1 certificate checks re-derive the same
+Hoare triples), so :func:`use_memo` scopes a memo of completed
+eliminations, mirroring the registry and budget scoping: the engine
+opens a fresh one per run and the verdict firewall its own.  The run is
+the bound -- there is no size knob -- and outside any scope
+:func:`eliminate` simply computes.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.budget import current_budget
 from repro.logic.atoms import Atom, Rel
@@ -90,6 +99,27 @@ def _combine(atoms: list[Atom], name: str) -> list[Atom]:
     return others
 
 
+#: ``(atoms, eliminated names, tighten)`` -> the completed elimination,
+#: ``None`` for UNSAT.
+Memo = dict[tuple[tuple[Atom, ...], tuple[str, ...], bool],
+            tuple[Atom, ...] | None]
+
+#: The scoped memo, if any.
+_MEMO: Memo | None = None
+
+
+@contextmanager
+def use_memo() -> Iterator[Memo]:
+    """Scope a fresh, empty elimination memo; it is dropped on exit."""
+    global _MEMO
+    previous = _MEMO
+    _MEMO = memo = {}
+    try:
+        yield memo
+    finally:
+        _MEMO = previous
+
+
 def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
               tighten: bool = True) -> list[Atom] | None:
     """Project the conjunction onto the complement of ``names``.
@@ -99,7 +129,28 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
     rationals: a valuation of the remaining variables satisfies the
     result iff it extends to a valuation of all variables satisfying the
     input.
+
+    Inside a :func:`use_memo` scope a repeated query is answered from
+    the memo: it does no work, so it charges no budget and counts
+    ``logic.fm.memo_hits`` instead of ``logic.fm.eliminations``.  Only
+    completed eliminations are stored; a budget overrun stores nothing.
     """
+    memo = _MEMO
+    if memo is None:
+        return _eliminate(atoms, names, tighten)
+    atoms, names = tuple(atoms), tuple(names)
+    key = (atoms, names, tighten)
+    if key in memo:
+        _metrics.inc("logic.fm.memo_hits")
+        stored = memo[key]
+        return None if stored is None else list(stored)
+    result = _eliminate(atoms, names, tighten)
+    memo[key] = None if result is None else tuple(result)
+    return result
+
+
+def _eliminate(atoms: Sequence[Atom], names: Iterable[str],
+               tighten: bool) -> list[Atom] | None:
     _metrics.inc("logic.fm.eliminations")
     budget = current_budget()
     try:

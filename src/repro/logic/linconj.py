@@ -26,7 +26,7 @@ class LinConj:
     also be semantically unsatisfiable.
     """
 
-    __slots__ = ("_atoms", "_hash", "_sat_cache")
+    __slots__ = ("_atoms", "_hash")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         unique: list[Atom] = []
@@ -39,7 +39,6 @@ class LinConj:
                 unique.append(atom)
         self._atoms: tuple[Atom, ...] = tuple(unique)
         self._hash = hash(frozenset(self._atoms))
-        self._sat_cache: bool | None = None
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -89,9 +88,7 @@ class LinConj:
 
     def is_sat(self) -> bool:
         """Exact rational satisfiability."""
-        if self._sat_cache is None:
-            self._sat_cache = fm.satisfiable(self._atoms)
-        return self._sat_cache
+        return fm.satisfiable(self._atoms)
 
     def is_unsat(self) -> bool:
         return not self.is_sat()
@@ -106,9 +103,9 @@ class LinConj:
         if _faults._ACTIVE is not None:
             # Fault-injection site: crashes/delays here, and in
             # adversarial mode the *returned* decision may be flipped.
-            # Only the return value is corrupted (never the underlying
-            # sat caches), so the verdict firewall re-checks exactly
-            # under repro.faults.suspended().
+            # Only the return value is corrupted (never the elimination
+            # memo below this site), so the verdict firewall re-checks
+            # exactly under repro.faults.suspended().
             _faults.perturb("solver.entailment")
             return _faults.filter_bool("solver.entailment",
                                        self._entails_atom(atom))

@@ -76,10 +76,6 @@ class LinearProgram:
         self._free.append(lower is None)
         return index
 
-    @property
-    def num_vars(self) -> int:
-        return len(self._names)
-
     def _check(self, coeffs: Coeffs) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for index, c in coeffs.items():

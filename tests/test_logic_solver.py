@@ -1,7 +1,8 @@
 """Tests for atoms, conjunctions and the Fourier--Motzkin engine.
 
 The decision procedure is cross-checked against brute-force enumeration
-over a small integer grid (hypothesis generates random conjunctions).
+over a small integer grid (hypothesis generates random conjunctions);
+the run-scoped elimination memo is checked against fresh eliminations.
 """
 
 from fractions import Fraction
@@ -10,11 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults as faults
+from repro.benchgen.programs import program_suite
+from repro.core.api import prove_termination
+from repro.core.budget import Budget, ResourceExhausted, use_budget
+from repro.core.config import AnalysisConfig
+from repro.core.refinement import RefinementEngine
+from repro.faults import FaultPlan
+from repro.logic import fourier_motzkin as fm
 from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
                                atom_lt, negate_atom)
 from repro.logic.fourier_motzkin import eliminate, find_model, satisfiable
 from repro.logic.linconj import FALSE, TRUE, LinConj, conj
 from repro.logic.terms import term, var
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -256,3 +266,93 @@ def test_projection_preserves_satisfiability(atoms):
     c = LinConj(atoms)
     p = c.project_away(["x"])
     assert p.is_sat() == c.is_sat()
+
+
+# -- the run-scoped elimination memo ----------------------------------------------
+
+def _suite_program(name):
+    return next(p for p in program_suite() if p.name == name).parse()
+
+
+def _capture_run_memos(monkeypatch):
+    """Record the memo each engine run scopes, as the run sees it."""
+    memos = []
+    refine = RefinementEngine._refine
+
+    def spy(self, *args, **kwargs):
+        result = refine(self, *args, **kwargs)
+        memos.append(fm._MEMO)
+        return result
+
+    monkeypatch.setattr(RefinementEngine, "_refine", spy)
+    return memos
+
+
+WIDE = [atom_le(x + y, 4), atom_ge(x - y, -2), atom_lt(z, x),
+        atom_le(y, z + 3), atom_ge(x, 0)]
+
+
+def test_memo_hit_equals_fresh_elimination_and_charges_nothing():
+    registry = MetricsRegistry()
+    budget = Budget()
+    with use_registry(registry), use_budget(budget), fm.use_memo() as memo:
+        first = eliminate(WIDE, ["x", "y"])
+        checks = budget.fm_checks
+        assert checks > 0
+        again = eliminate(WIDE, ["x", "y"])
+        assert budget.fm_checks == checks
+        # a hit hands out a copy: mutating it cannot corrupt the memo
+        again.append(atom_lt(z, 0))
+        third = eliminate(WIDE, ["x", "y"])
+        assert eliminate(WIDE + [atom_lt(z, z)], ["x"]) is None
+        assert eliminate(WIDE + [atom_lt(z, z)], ["x"]) is None
+    assert first == eliminate(WIDE, ["x", "y"]) == third
+    assert len(memo) == 2
+    counters = registry.snapshot()["counters"]
+    assert counters["logic.fm.eliminations"] == 2
+    assert counters["logic.fm.memo_hits"] == 3
+
+
+def test_memo_stores_nothing_on_constraint_cap_overrun():
+    budget = Budget(fm_constraint_cap=2)
+    with use_budget(budget), fm.use_memo() as memo:
+        with pytest.raises(ResourceExhausted):
+            eliminate(WIDE, ["x", "y"])
+        assert memo == {}
+    assert fm._MEMO is None
+
+
+def test_memo_is_scoped_to_one_analysis(monkeypatch):
+    memos = _capture_run_memos(monkeypatch)
+    assert fm._MEMO is None
+    result = prove_termination(_suite_program("count_down"))
+    assert result.verdict.value == "terminating"
+    assert fm._MEMO is None
+    assert len(memos) == 1 and memos[0]
+    assert result.stats.counter("logic.fm.memo_hits") > 0
+
+
+def test_consecutive_analyses_report_identical_solver_counters():
+    def logic_counters():
+        result = prove_termination(_suite_program("sort"))
+        assert result.verdict.value == "terminating"
+        return {k: v for k, v in result.stats.metrics["counters"].items()
+                if k.startswith("logic.")}
+
+    first = logic_counters()
+    assert first["logic.fm.eliminations"] > 0
+    assert logic_counters() == first
+
+
+def test_memo_entries_are_honest_under_adversarial_faults(monkeypatch):
+    memos = _capture_run_memos(monkeypatch)
+    plan = FaultPlan(seed=3, wrong_answer_rate=0.15)
+    with faults.use_plan(plan):
+        prove_termination(_suite_program("sort"), AnalysisConfig(timeout=20))
+        flips = faults.injected_counts()["solver.entailment"]["flip"]
+    assert flips > 0
+    (memo,) = memos
+    assert memo
+    for (atoms, names, tighten), stored in memo.items():
+        clean = eliminate(atoms, names, tighten=tighten)
+        assert (None if clean is None else tuple(clean)) == stored

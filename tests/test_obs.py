@@ -3,7 +3,8 @@
 import json
 import time
 
-from repro.core.api import (prove_termination_portfolio,
+from repro.benchgen.programs import program_suite
+from repro.core.api import (prove_termination, prove_termination_portfolio,
                             prove_termination_source)
 from repro.core.config import AnalysisConfig
 from repro.core.stats import AnalysisStats, StatsCollector
@@ -168,6 +169,21 @@ def test_runs_get_isolated_registries():
     second = prove_termination_source(TERMINATING)
     assert first.stats.metrics["counters"]["refinement.rounds"] == \
         second.stats.metrics["counters"]["refinement.rounds"]
+
+
+def test_analysis_counts_all_its_solver_work_on_its_result():
+    """CFG guard pruning and the firewall's re-checks count on the
+    result, not in whatever registry the caller has scoped."""
+    program = next(p for p in program_suite() if p.name == "sort").parse()
+    outside = MetricsRegistry()
+    with obs_metrics.use_registry(outside):
+        result = prove_termination(program)
+    assert outside.snapshot()["counters"] == {}
+    counters = result.stats.metrics["counters"]
+    assert counters["firewall.screens"] == 1
+    unscreened = prove_termination(program, AnalysisConfig(firewall=False))
+    assert counters["logic.entailment_calls"] > \
+        unscreened.stats.counter("logic.entailment_calls")
 
 
 # -- stats round-trip ---------------------------------------------------------

@@ -5,18 +5,22 @@ import pytest
 from repro.automata.classify import (is_deterministic, is_finite_trace,
                                      is_normalized_sdba, is_semideterministic)
 from repro.automata.words import UPWord, accepts
+from repro.benchgen.programs import program_suite
+from repro.core.api import prove_termination
 from repro.core.budget import Budget, use_budget
-from repro.core.config import StageSequence
+from repro.core.config import AnalysisConfig, StageSequence
 from repro.core.module import validate_module
-from repro.core.stages import (Stage, build_deterministic_module,
+from repro.core.stages import (Stage, _PowersetBuilder,
+                               build_deterministic_module,
                                build_finite_module, build_lasso_module,
                                build_nondeterministic_module,
                                build_semideterministic_module, generalize)
 from repro.logic.atoms import atom_gt, atom_lt
+from repro.logic.fourier_motzkin import use_memo
 from repro.logic.linconj import conj
 from repro.logic.terms import var
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.program.statements import Assign, Assume
+from repro.program.statements import Assign, Assume, hoare_valid
 from repro.ranking.certificate import build_certificate
 from repro.ranking.lasso import Lasso
 from repro.ranking.synthesis import prove_lasso
@@ -192,3 +196,53 @@ def test_generalize_always_returns_containing_module():
                             {OUTER_GUARD, SET_J, INNER_GUARD, INC_J})
         assert module.language_contains(SORT_LASSO.word())
         assert validate_module(module) == []
+
+
+
+# -- the hoisted delta-wedge -----------------------------------------------------------
+
+def _reachable_wedges(base):
+    """Every ``(builder, states, stmt)`` the stage-2/3 constructions over
+    ``base`` reach (the union of deterministic and stay-in-stem steps)."""
+    builder = _PowersetBuilder(base)
+    start = frozenset(base.automaton.initial_states())
+    seen, queue = {start}, [start]
+    while queue:
+        states = queue.pop()
+        for stmt in sorted(builder.alphabet, key=str):
+            yield builder, states, stmt
+            for target in (builder.det_successor(states, stmt),
+                           builder.nondet_successor(states, stmt)):
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+
+
+@pytest.mark.parametrize("name", ["sort", "lex_pair", "two_branch",
+                                  "inner_depends_outer"])
+def test_delta_wedge_matches_per_state_hoare_triples(name):
+    """One strongest postcondition per ``(states, stmt)`` decides the
+    same successor set as one ``hoare_valid`` triple per base state, on
+    every powerset state reached from the stage-0 lasso modules of suite
+    programs."""
+    program = next(p for p in program_suite() if p.name == name).parse()
+    # The run uses delta_wedge too: the timeout keeps a broken one from
+    # hanging this test instead of failing it.
+    result = prove_termination(program, AnalysisConfig(timeout=30))
+    checked = 0
+    for module in result.modules:
+        proof = prove_lasso(Lasso.from_word(module.source_word))
+        if not proof.is_terminating or proof.ranking is None:
+            continue
+        base = build_lasso_module(proof)
+        with use_memo():
+            for builder, states, stmt in _reachable_wedges(base):
+                update = (base.ranking if builder.has_accepting(states)
+                          else None)
+                expected = frozenset(
+                    q for q in base.automaton.states
+                    if hoare_valid(builder.conj(states), stmt,
+                                   base.certificate[q], oldrnk_update=update))
+                assert builder.delta_wedge(states, stmt) == expected
+                checked += 1
+    assert checked > 0
