@@ -15,14 +15,23 @@ nonzero when a gate fails:
     The passes under the ``library.publish`` tamper fault: at least
     one ``library.rejected``, zero ``library.hits``, zero unsound
     verdicts.
+``effort``
+    A traced ``perfbench/run.py`` pass (``--trace 1``): its effort
+    counters -- the ``count`` metrics other than the layer ``.calls`` --
+    must equal the committed baseline for the workload exactly.  The
+    counters are deterministic at a fixed seed, so the threshold is
+    zero; a change that moves them updates the baseline in the same
+    commit.
 
 Usage::
 
     python scripts/ci_checks.py kill-resume [--events F] [--store F] [--report F]
     python scripts/ci_checks.py library [--events F] [--report F]
     python scripts/ci_checks.py poison [--report F]
+    python scripts/ci_checks.py effort BASELINE RESULT --workload W
 
-The defaults are the file names the CI workflow writes.
+The defaults are the file names the CI workflow writes.  ``RESULT`` is
+the output of ``perfbench/run.py``; its last line is the result.
 """
 
 from __future__ import annotations
@@ -125,6 +134,33 @@ def poison(args) -> None:
     check_sound(report, "under a poisoned library")
 
 
+def effort_counters(result: dict) -> dict:
+    """The effort counters of a perfbench result line."""
+    return {name: metric["value"]
+            for name, metric in result["metrics"].items()
+            if metric["unit"] == "count" and not name.endswith(".calls")}
+
+
+def effort(args) -> None:
+    baseline = load_report(args.baseline)["workloads"].get(args.workload)
+    check(baseline is not None,
+          f"no baseline for workload {args.workload!r}")
+    with open(args.result, encoding="utf-8") as fh:
+        result = json.loads(fh.read().strip().splitlines()[-1])
+    check(result["correct"], "the perfbench run failed its own checks")
+    counters = effort_counters(result)
+    differences = []
+    for name in sorted(baseline.keys() | counters.keys()):
+        expected, got = baseline.get(name), counters.get(name)
+        if expected != got:
+            differences.append(f"{name}: baseline {expected}, now {got}")
+    print(f"{args.workload}: {len(baseline)} baseline counters, "
+          f"{len(differences)} differ")
+    check(not differences,
+          f"effort counters moved on {args.workload} (update "
+          f"{args.baseline} if intended): {'; '.join(differences)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Result gates of the CI smoke jobs.")
@@ -144,6 +180,13 @@ def main(argv: list[str] | None = None) -> int:
                               help="poison rejected, never believed")
     sub.add_argument("--report", default="tampered-report.json")
     sub.set_defaults(gate=poison)
+    sub = commands.add_parser("effort",
+                              help="perfbench effort counters equal the "
+                                   "baseline")
+    sub.add_argument("baseline")
+    sub.add_argument("result")
+    sub.add_argument("--workload", required=True)
+    sub.set_defaults(gate=effort)
     args = parser.parse_args(argv)
     try:
         args.gate(args)

@@ -16,8 +16,9 @@ disjunctions) of linear constraints over rational-valued variables:
 - :mod:`repro.logic.interpolation` -- Farkas sequence interpolants for
   infeasible statement paths.
 
-All arithmetic uses :class:`fractions.Fraction`; floats never enter
-soundness-critical paths.
+All arithmetic is exact: coefficients are ``int`` when integral and
+:class:`fractions.Fraction` otherwise (atoms keep integer coefficients
+with gcd 1), and floats never enter soundness-critical paths.
 """
 
 from repro.logic.terms import LinTerm, term, const, var

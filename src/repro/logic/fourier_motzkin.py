@@ -41,7 +41,11 @@ class _Contradiction(Exception):
 
 
 def _simplify(atoms: Iterable[Atom], tighten: bool) -> list[Atom]:
-    """Drop trivially true atoms; raise on trivially false ones; dedupe."""
+    """Drop trivially true atoms; raise on trivially false ones; dedupe.
+
+    Atoms are canonical from construction, so tightening only rounds the
+    constant, and each atom rounds it once (the result is cached).
+    """
     seen: set[Atom] = set()
     out: list[Atom] = []
     for atom in atoms:
@@ -66,7 +70,7 @@ def _pivot_equality(atoms: list[Atom], name: str) -> list[Atom] | None:
         if c == 0:
             continue
         # name = -(term - c*name) / c
-        replacement = (LinTerm({name: c}) - atom.term) * (Fraction(1) / c)
+        replacement = (LinTerm({name: c}) - atom.term) / c
         rest = atoms[:i] + atoms[i + 1:]
         return [a.substitute({name: replacement}) for a in rest]
     return None
@@ -207,7 +211,7 @@ def _bounds_for(atoms: Sequence[Atom], name: str) -> tuple[
         d = atom.term.constant
         if c == 0:
             continue
-        bound = -d / c
+        bound = Fraction(-d, c)  # c and d may both be ints
         if atom.rel is Rel.EQ:
             merge_lower(bound, False)
             merge_upper(bound, False)
@@ -241,7 +245,7 @@ def _pick_value(lower: Fraction | None, lower_strict: bool,
         if int_low <= 0 <= int_high:
             return Fraction(0)
         return Fraction(int_low if abs(int_low) <= abs(int_high) else int_high)
-    return (lower + upper) / 2
+    return Fraction(lower + upper, 2)
 
 
 def _floor(f: Fraction) -> int:

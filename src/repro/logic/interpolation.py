@@ -36,10 +36,11 @@ def farkas_refutation(groups: Sequence[Sequence[Atom]]) -> list[list[Fraction]] 
     """Nonnegative multipliers deriving ``0 <= -1`` from the groups.
 
     Every atom is normalized via integer tightening to ``term <= 0`` or
-    ``term = 0`` rows; equalities get free multipliers (encoded as two
-    opposite rows).  Returns per-group multiplier lists aligned with the
-    normalized rows of :func:`_normalized_rows`, or ``None`` when the
-    conjunction is (rationally) satisfiable.
+    ``term = 0`` rows (a strict atom over the rational-valued ``oldrnk``
+    is weakened to ``term <= 0``); equalities get free multipliers
+    (encoded as two opposite rows).  Returns per-group multiplier lists
+    aligned with the normalized rows of :func:`_normalized_rows`, or
+    ``None`` when the conjunction is (rationally) satisfiable.
     """
     rows = [_normalized_rows(group) for group in groups]
     lp = LinearProgram()
@@ -84,16 +85,13 @@ def _normalized_rows(group: Sequence[Atom]) -> list[tuple[LinTerm, bool]]:
     out: list[tuple[LinTerm, bool]] = []
     for atom in group:
         tightened = atom.tighten_integral()
-        if tightened.rel is Rel.LT:
-            # non-integral strict atom: soundly usable as non-strict for
-            # refutation only if we weaken; a refutation of the weakened
-            # system is still a refutation when some inequality is strict
-            # -- but to stay simple we require deriving 0 <= -1 outright.
-            out.append((tightened.term, False))
-        else:
-            out.append((tightened.term, False))
-            if tightened.rel is Rel.EQ:
-                out.append((-tightened.term, True))
+        # Only an atom over the rational-valued oldrnk stays strict after
+        # tightening.  It is weakened to non-strict: a refutation of the
+        # weakened system refutes the original, and deriving 0 <= -1
+        # outright keeps the chain simple.
+        out.append((tightened.term, False))
+        if tightened.rel is Rel.EQ:
+            out.append((-tightened.term, True))
     return out
 
 

@@ -8,9 +8,12 @@ linear consequence ``g . z <= h`` of the system is witnessed by
 
 :func:`relation_matrix` normalizes a :class:`LinConj` into ``A z <= b``
 rows (equalities become two rows; strict inequalities are tightened to
-non-strict over the integers when the row is integral, and *relaxed*
-otherwise -- enlarging the relation is sound, the ranking condition
-just has to hold for more pairs).
+non-strict over the integers, except over the rational-valued
+``oldrnk``, where they are *relaxed* -- enlarging the relation is sound,
+the ranking condition just has to hold for more pairs).  Atoms are
+canonical, so the rows hold ``int`` coefficients (a constant may be a
+``Fraction``); :class:`~repro.logic.lp.LinearProgram` converts its
+inputs to ``Fraction`` at its boundary.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def relation_matrix(rel: LinConj, columns: Sequence[str]) -> RelationMatrix:
         constant = normalized.term.constant
         # term rel 0  ->  coeffs . z <= -constant  (and reverse for =)
         if normalized.rel in (Rel.LE, Rel.LT):
-            # A strict atom surviving tightening has non-integral
-            # coefficients; relax it to non-strict (a superset relation).
+            # Only an atom over the rational-valued oldrnk stays strict
+            # after tightening; relax it to non-strict (a superset
+            # relation).
             add_row(coeffs, -constant)
         else:
             add_row(coeffs, -constant)

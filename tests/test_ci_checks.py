@@ -64,3 +64,52 @@ def test_gate_passes_clean_results_and_fails_unsound(build, tmp_path):
 
 def test_poison_gate_fails_on_a_served_hit(tmp_path):
     assert gate(*poison_args(tmp_path, hits=1)) != 0
+
+
+BASELINE = (Path(__file__).resolve().parent.parent / "benchmarks"
+            / "baselines" / "perfbench_effort.json")
+
+
+def effort_args(tmp_path, workload="suite-decided", **overrides):
+    """A perfbench result line carrying the baseline's counters, with
+    ``overrides`` applied (``None`` drops a counter)."""
+    counters = json.loads(BASELINE.read_text())["workloads"][workload]
+    metrics = {"wall_s": {"value": 1.0, "unit": "s"},
+               "logic.fm.calls": {"value": 123, "unit": "count"}}
+    for name, value in {**counters, **overrides}.items():
+        if value is not None:
+            metrics[name] = {"value": value, "unit": "count"}
+    result = tmp_path / "result.log"
+    result.write_text("[suite] a table line\n" + json.dumps(
+        {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+        + "\n", encoding="utf-8")
+    return ["effort", str(BASELINE), str(result), "--workload", workload]
+
+
+@pytest.mark.parametrize("workload", ["suite-decided", "suite-diverging"])
+def test_effort_gate_passes_the_baseline_itself(workload, tmp_path):
+    assert gate(*effort_args(tmp_path, workload)) == 0
+
+
+def test_effort_gate_fails_on_one_extra_elimination(tmp_path):
+    counters = json.loads(BASELINE.read_text())["workloads"]["suite-decided"]
+    extra = counters["logic.fm.eliminations"] + 1
+    assert gate(*effort_args(tmp_path,
+                             **{"logic.fm.eliminations": extra})) != 0
+
+
+def test_effort_gate_fails_on_a_missing_counter(tmp_path):
+    assert gate(*effort_args(tmp_path,
+                             **{"logic.entailment_calls": None})) != 0
+
+
+def test_effort_gate_ignores_layer_calls_but_not_new_counters(tmp_path):
+    # a layer's .calls is not an effort counter; an unrecorded counter is
+    assert gate(*effort_args(tmp_path, **{"logic.lp.calls": 7})) == 0
+    assert gate(*effort_args(tmp_path, **{"logic.fm.new": 1})) != 0
+
+
+def test_effort_gate_fails_without_a_baseline_workload(tmp_path):
+    args = effort_args(tmp_path)
+    args[-1] = "corpus-pool"
+    assert gate(*args) != 0

@@ -5,7 +5,14 @@ over a small integer grid (hypothesis generates random conjunctions);
 the run-scoped elimination memo is checked against fresh eliminations.
 """
 
+import json
+import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +22,7 @@ import repro.faults as faults
 from repro.benchgen.programs import program_suite
 from repro.core.api import prove_termination
 from repro.core.budget import Budget, ResourceExhausted, use_budget
+from repro.core.codec import atom_from_dict, atom_to_dict
 from repro.core.config import AnalysisConfig
 from repro.core.refinement import RefinementEngine
 from repro.faults import FaultPlan
@@ -23,8 +31,10 @@ from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
                                atom_lt, negate_atom)
 from repro.logic.fourier_motzkin import eliminate, find_model, satisfiable
 from repro.logic.linconj import FALSE, TRUE, LinConj, conj
+from repro.logic.lp import LinearProgram, LPStatus
 from repro.logic.terms import term, var
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.ranking.farkas import relation_matrix
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -95,6 +105,15 @@ def test_tightening_never_rounds_oldrnk():
     assert satisfiable(atoms)
     model = find_model(atoms)
     assert model is not None and 6 * model["oldrnk"] - model["y"] == 5
+    # canonical scaling is exact over the rationals, so it applies to
+    # oldrnk atoms too: oldrnk = y/6 + 5/6 is the same atom, and scaling
+    # keeps the fractional model that rounding would lose
+    scaled = atom_eq(r, Fraction(1, 6) * y + Fraction(5, 6))
+    assert scaled == atoms[0] and hash(scaled) == hash(atoms[0])
+    assert scaled.term.coeffs == {"oldrnk": 6, "y": -1}
+    assert scaled.tighten_integral() is scaled
+    assert scaled.evaluate({"oldrnk": Fraction(5, 3), "y": 5})
+    assert satisfiable([scaled, atom_ge(y, 3), atom_le(y, 5)])
 
 
 # -- conjunctions --------------------------------------------------------------
@@ -266,6 +285,145 @@ def test_projection_preserves_satisfiability(atoms):
     c = LinConj(atoms)
     p = c.project_away(["x"])
     assert p.is_sat() == c.is_sat()
+
+
+# -- canonical atoms and exactness -------------------------------------------------
+
+def _primitive(atom):
+    """Integer coefficients with gcd 1 (a constant atom has none)."""
+    coeffs = list(atom.term.coeffs.values())
+    return (all(type(c) is int for c in coeffs)
+            and (not coeffs or math.gcd(*coeffs) == 1))
+
+
+def _exact_value(value):
+    """An exact rational in integer-normal form: never a float, and a
+    Fraction only when it is not integral."""
+    return type(value) is int or (type(value) is Fraction
+                                  and value.denominator != 1)
+
+
+mixed_coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def mixed_atoms(draw, names=("x", "y", "z")):
+    coeffs = {n: draw(mixed_coeffs) for n in names}
+    if draw(st.booleans()):
+        coeffs["oldrnk"] = draw(mixed_coeffs)
+    rel = draw(st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]))
+    return Atom(term(coeffs, draw(mixed_coeffs)), rel)
+
+
+positive_scales = st.fractions(min_value=Fraction(1, 7), max_value=7,
+                               max_denominator=7).filter(lambda k: k > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_atoms(), positive_scales)
+def test_atoms_are_canonical_up_to_positive_scaling(atom, k):
+    scaled = Atom(atom.term * k, atom.rel)
+    assert scaled == atom and hash(scaled) == hash(atom)
+    assert scaled.term == atom.term
+    assert _primitive(atom)
+    assert _exact_value(atom.term.constant)
+    # a negative scale flips the relation's direction: a different atom
+    if atom.rel is not Rel.EQ and not atom.term.is_constant():
+        assert Atom(atom.term * -k, atom.rel) != atom
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_atoms())
+def test_tightening_is_idempotent_and_canonical(atom):
+    tight = atom.tighten_integral()
+    assert tight.tighten_integral() == tight
+    assert tight.tighten_integral().tighten_integral() is tight.tighten_integral()
+    assert atom.tighten_integral() is tight  # cached on the atom
+    assert _primitive(tight)
+    if "oldrnk" in atom.variables():
+        assert tight is atom  # rational-valued: never rounded
+    elif not atom.term.is_constant():
+        assert type(tight.term.constant) is int or tight.is_trivially_false()
+        assert tight.rel is not Rel.LT
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_atoms())
+def test_atoms_survive_pickle_and_codec_round_trips(atom):
+    # the race, pool, checkpoint and library paths ship atoms this way
+    for copy in (pickle.loads(pickle.dumps(atom)),
+                 atom_from_dict(json.loads(json.dumps(atom_to_dict(atom))))):
+        assert copy == atom and hash(copy) == hash(atom)
+        assert _primitive(copy)
+        assert copy.tighten_integral() == atom.tighten_integral()
+
+
+def test_pickled_atoms_rehash_under_another_hash_seed(tmp_path):
+    # str hashing is salted per process: an atom or term shipped to a
+    # process with another seed must not carry its old cached hash
+    atom = atom_le(x + 2 * y, Fraction(7, 2))
+    blob = tmp_path / "atom.pickle"
+    blob.write_bytes(pickle.dumps((atom, atom.term)))
+    code = ("import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from repro.logic.atoms import atom_le\n"
+            "from repro.logic.terms import var\n"
+            "a, t = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "b = atom_le(var('x') + 2 * var('y'), Fraction(7, 2))\n"
+            "print(a in {b}, t in {b.term})\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code, str(blob)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "True"]
+
+
+def test_atoms_are_immutable():
+    atom = atom_le(x, 1)
+    with pytest.raises(AttributeError):
+        atom.term = y
+    with pytest.raises(AttributeError):
+        atom.rel = Rel.LT
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(mixed_atoms(), min_size=1, max_size=4),
+       st.lists(st.sampled_from(["x", "y", "z", "oldrnk"]), max_size=3,
+                unique=True),
+       st.one_of(st.integers(1, 5), st.integers(-5, -1),
+                 st.fractions(min_value=Fraction(1, 5), max_value=5,
+                              max_denominator=5).filter(lambda k: k != 0)))
+def test_no_float_ever_leaves_the_solver(atoms, names, k):
+    projected = eliminate(atoms, names)
+    for atom in projected or ():
+        assert _primitive(atom)
+        assert _exact_value(atom.term.constant)
+    model = find_model(atoms)
+    if model is not None:
+        assert all(type(v) in (int, Fraction) for v in model.values())
+    for atom in atoms:
+        quotient = atom.term / k
+        values = [*quotient.coeffs.values(), quotient.constant]
+        assert all(_exact_value(v) for v in values)
+        assert quotient * k == atom.term
+    # LP solutions over the Farkas relation rows stay exact too
+    columns = sorted({n for a in atoms for n in a.variables()})
+    matrix = relation_matrix(LinConj(atoms), columns)
+    assert not any(isinstance(v, float)
+                   for row in matrix.rows for v in row + matrix.bounds)
+    lp = LinearProgram()
+    cols = [lp.new_var(name, lower=None) for name in columns]
+    for row, bound in zip(matrix.rows, matrix.bounds):
+        lp.add_le(dict(zip(cols, row)), bound)
+    result = lp.check_feasible()
+    if result.status is LPStatus.OPTIMAL:
+        point = {name: result.assignment[c] for name, c in zip(columns, cols)}
+        assert all(type(v) is Fraction for v in point.values())
+        for row, bound in zip(matrix.rows, matrix.bounds):
+            assert sum(a * point[n] for a, n in zip(row, columns)) <= bound
 
 
 # -- the run-scoped elimination memo ----------------------------------------------

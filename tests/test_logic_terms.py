@@ -120,3 +120,33 @@ def test_double_negation(t):
 def test_multiplication_distributes_over_eval(t, k):
     valuation = {n: 2 for n in t.variables()}
     assert (t * k).evaluate(valuation) == k * t.evaluate(valuation)
+
+
+def _integer_normal(t):
+    """Integral values are ints; only non-integral ones are Fractions."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in [*t.coeffs.values(), t.constant])
+
+
+@given(terms(), terms(), st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=4))
+def test_arithmetic_results_are_integer_normal(t, u, k):
+    results = [t + u, t - u, -t, t * k, t.substitute({"a": u, "b": t}),
+               t.rename({"a": "b", "c": "b"})]
+    if k != 0:
+        results.append(t / k)
+    for result in results:
+        assert _integer_normal(result)
+
+
+def test_integral_fractions_are_stored_as_ints():
+    halves = term({"x": Fraction(1, 2)}, Fraction(1, 2))
+    assert type((halves + halves).coeff("x")) is int
+    assert type((halves + halves).constant) is int
+    t = term({"x": Fraction(4, 2), "y": Fraction(1, 3)}, Fraction(6, 3))
+    assert type(t.coeff("x")) is int and type(t.constant) is int
+    assert type(t.coeff("y")) is Fraction
+    assert type((t * 3).coeff("y")) is int
+    assert type((t / 2).coeff("x")) is int
+    assert t == term({"x": 2, "y": Fraction(1, 3)}, 2)
+    assert hash(t) == hash(term({"x": 2, "y": Fraction(1, 3)}, 2))
